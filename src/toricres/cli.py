@@ -14,7 +14,6 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .fan import enumerate_effective
@@ -40,7 +39,7 @@ from .mpcayley import (
     substitution_value_pair,
 )
 from .mixedvol import mixed_volume_table, verify_mixed_volume_theorem
-from .problem import ProblemContext, ProblemError, load_problem
+from .problem import ProblemContext, ProblemError, load_problem, read_polynomial
 
 
 def _parser():
@@ -65,8 +64,6 @@ def _parser():
                        help="completion ray, comma-separated integers")
         p.add_argument("--seed", type=int, default=0,
                        help="base seed for the tie-break battery")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="number of worker threads for check batteries")
         p.add_argument("--format", choices=("table", "report"),
                        default="table", help="output style")
     return parser
@@ -197,12 +194,11 @@ def run_validate(args):
         return f"completion ray {state['ctx'].v0} accepted"
 
     def check_polynomial():
-        pc = ProblemContext(spec, v0=v0)
-        if pc.is_nef:
-            cleaned = validate_polynomial(
-                pc.residue, interior_polynomial(pc.cayley, pc.polynomial))
-        else:
-            cleaned = validate_polynomial(pc.residue, pc.polynomial)
+        cayley = state.get("cayley")
+        P = read_polynomial(spec, len(state["points"]), cayley)
+        if cayley is not None:
+            P = interior_polynomial(cayley, P)
+        cleaned = validate_polynomial(state["ctx"], P)
         return f"{len(cleaned)} interior monomials of the right degree"
 
     stage("polytope", check_polytope)
@@ -479,12 +475,7 @@ def run_verify(args):
         except (ProblemError, GeometryError, InvariantError) as exc:
             return False, str(exc)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(run_one, fn) for _, fn in checks]
-            outcomes = [f.result() for f in futures]
-    else:
-        outcomes = [run_one(fn) for _, fn in checks]
+    outcomes = [run_one(fn) for _, fn in checks]
 
     rows = [(name, ok, detail)
             for (name, _), (ok, detail) in zip(checks, outcomes)]

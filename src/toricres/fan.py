@@ -23,7 +23,9 @@ from .lattice import (
     LatticePolytope,
     cone_facet_normals,
     cone_volume,
+    det_int,
     dot,
+    facet_inequalities,
     feasible_point,
     hermite_normal_form,
     integer_kernel_basis,
@@ -64,17 +66,10 @@ class Triangulation:
                 raise TriangulationError(f"simplex {s} references a missing point")
 
 
-def _simplex_facet_system(pts):
-    """Facet inequalities of a full-dimensional simplex (via the general scan)."""
-    from .lattice import facet_inequalities
-
-    return facet_inequalities(pts)
-
-
 def _intersection_vertices(ptsA, ptsB):
     """Vertices of conv(ptsA) ∩ conv(ptsB), by brute-force active-set search."""
     dim = len(ptsA[0])
-    system = _simplex_facet_system(list(ptsA)) + _simplex_facet_system(list(ptsB))
+    system = facet_inequalities(ptsA) + facet_inequalities(ptsB)
     verts = set()
     for subset in itertools.combinations(range(len(system)), dim):
         mat = [system[i][0] for i in subset]
@@ -93,9 +88,9 @@ def _intersection_vertices(ptsA, ptsB):
 def _barycentric(simplex_pts, point):
     """Barycentric coordinates of a rational point in an affine simplex."""
     dim = len(simplex_pts[0])
-    mat = [[Fraction(p[k]) for p in simplex_pts] for k in range(dim)]
-    mat.append([Fraction(1)] * len(simplex_pts))
-    rhs = list(point) + [Fraction(1)]
+    mat = [[p[k] for p in simplex_pts] for k in range(dim)]
+    mat.append([1] * len(simplex_pts))
+    rhs = list(point) + [1]
     return solve_rational(mat, rhs)
 
 
@@ -176,13 +171,7 @@ def validate_triangulation(tri, polytope=None):
 
 def _affine_volume(pts):
     base = pts[0]
-    return _det([vec_sub(p, base) for p in pts[1:]])
-
-
-def _det(rows):
-    from .lattice import det_int
-
-    return det_int(rows)
+    return det_int([vec_sub(p, base) for p in pts[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +181,7 @@ def _det(rows):
 def _interpolant_row(tri, simplex, q):
     """Barycentric weights of point q w.r.t. a simplex, as exact Fractions."""
     pts = [tri.points[k] for k in simplex]
-    return _barycentric(pts, [Fraction(x) for x in tri.points[q]])
+    return _barycentric(pts, tri.points[q])
 
 
 def verify_coherence(tri, lifting=None):

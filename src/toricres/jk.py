@@ -23,9 +23,8 @@ from .lattice import (
     InvariantError,
     cone_volume,
     det_int,
-    dot,
-    invert_rational,
     matrix_rank,
+    relations_among,
     solve_rational,
 )
 from .poly import poly_eval
@@ -65,18 +64,11 @@ class JKEngine:
     """Residue calculator bound to one complete simplicial fan."""
 
     def __init__(self, generators, max_cones, volumes=None):
-        from .lattice import relations_among
-
         self.generators = tuple(tuple(g) for g in generators)
         self.max_cones = tuple(tuple(sorted(c)) for c in max_cones)
         self.n = len(self.generators)
-        self.kernel = tuple(relations_among(self.generators))
+        self.kernel, self.forms = restricted_forms(self.generators)
         self.dim = len(self.kernel)
-        # Restricting the i-th coordinate to the relation space, written in
-        # kernel-basis coordinates, is just the i-th column of the basis.
-        self.forms = tuple(
-            tuple(row[i] for row in self.kernel) for i in range(self.n)
-        )
         self._cone_lookup = {}
         for cone in self.max_cones:
             vol = (volumes or {}).get(cone) or cone_volume(
@@ -178,9 +170,9 @@ def restricted_forms(generators):
 
     Returns (kernel_basis, forms); the identity sum_i <w, v_i> x_i|_R = 0
     holds for every dual vector w, which callers use as a self-check.
+    Restricting the i-th coordinate to the relation space, written in
+    kernel-basis coordinates, is just the i-th column of the basis.
     """
-    from .lattice import relations_among
-
     kernel = tuple(relations_among(generators))
     forms = tuple(tuple(row[i] for row in kernel) for i in range(len(generators)))
     return kernel, forms
@@ -217,7 +209,7 @@ def _generic_point(attempt, rank):
     start = attempt * rank
     if start + rank > len(_POINT_POOL):
         raise InvariantError("ran out of generic evaluation points")
-    return [Fraction(p) for p in _POINT_POOL[start:start + rank]]
+    return _POINT_POOL[start:start + rank]
 
 
 def evaluate_top_class(fan_like, polynomial, allow_incomplete=False):
@@ -251,7 +243,7 @@ def evaluate_top_class(fan_like, polynomial, allow_incomplete=False):
                 "classes vanishing on the boundary"
             )
 
-    duals = {}
+    mats = {}
     vols = {}
     for cone in max_cones:
         mat = [[generators[i][k] for i in cone] for k in range(rank)]
@@ -259,7 +251,7 @@ def evaluate_top_class(fan_like, polynomial, allow_incomplete=False):
         if det == 0:
             raise GeometryError(f"maximal cone {cone} is degenerate")
         vols[cone] = abs(det)
-        duals[cone] = invert_rational(mat)
+        mats[cone] = mat
 
     values = []
     attempt = 0
@@ -269,7 +261,7 @@ def evaluate_top_class(fan_like, polynomial, allow_incomplete=False):
         total = Fraction(0)
         hit_pole = False
         for cone in max_cones:
-            coords = [dot(row, point) for row in duals[cone]]
+            coords = solve_rational(mats[cone], point)
             if any(c == 0 for c in coords):
                 hit_pole = True
                 break

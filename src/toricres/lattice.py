@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 Vec = tuple[int, ...]
@@ -120,31 +120,13 @@ def integer_kernel_basis(matrix, ncols=None):
         if not matrix:
             raise GeometryError("cannot infer the number of unknowns from an empty matrix")
         ncols = len(matrix[0])
-    # Reduce [A^T | I] by unimodular row operations; the rows whose left block
-    # becomes zero have right blocks forming a basis of the kernel of A.
+    # The Hermite form of [A^T | I] lists the rows with a nonzero left block
+    # first; the right blocks of the rest are the Hermite basis of the kernel.
     aug = [
         [matrix[i][j] for i in range(nrows)] + [int(k == j) for k in range(ncols)]
         for j in range(ncols)
     ]
-    r = 0
-    for c in range(nrows):
-        while True:
-            nz = [i for i in range(r, ncols) if aug[i][c] != 0]
-            if len(nz) <= 1:
-                break
-            i0 = min(nz, key=lambda i: abs(aug[i][c]))
-            for i in nz:
-                if i == i0:
-                    continue
-                q = aug[i][c] // aug[i0][c]
-                if q:
-                    aug[i] = [a - q * b for a, b in zip(aug[i], aug[i0])]
-        nz = [i for i in range(r, ncols) if aug[i][c] != 0]
-        if nz:
-            aug[r], aug[nz[0]] = aug[nz[0]], aug[r]
-            r += 1
-    kernel = [row[nrows:] for row in aug[r:]]
-    return hermite_normal_form(kernel)
+    return [row[nrows:] for row in hermite_normal_form(aug) if not any(row[:nrows])]
 
 
 def relations_among(vectors):
@@ -157,6 +139,92 @@ def relations_among(vectors):
     return integer_kernel_basis(matrix, ncols=len(vectors))
 
 
+def _eliminate(rows, ncols):
+    """Fraction-free (Bareiss) row echelon form of integer rows, in place.
+
+    Pivots are searched in the first ``ncols`` columns; any further columns
+    (right-hand sides) are carried along.  Returns the pivot columns and the
+    sign of the row permutation.  Row k < rank then has its pivot at column
+    pivots[k] and the rows from the rank on are zero in the first ``ncols``
+    columns.  Every entry stays an integer: after a step each entry right of
+    the pivot is a minor of the input, so the division by the previous pivot
+    is exact (Bareiss, Math. Comp. 22, 1968).  The last pivot is the minor on
+    the pivot rows and columns, the determinant when the matrix is square
+    and regular.
+    """
+    nrows = len(rows)
+    pivots = []
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        right = range(c + 1, len(top))
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[c]
+            for j in right:
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[c] = 0
+        prev = p
+        pivots.append(c)
+    return pivots, sign
+
+
+def _integer_rows(rows):
+    """Integer copies of rows with integer or Fraction entries.
+
+    Each row is multiplied by the lcm of its denominators, which changes
+    neither the rank nor the solutions of a linear system.
+    """
+    out = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (d // x.denominator) for x in row])
+    return out
+
+
+def _solve(matrix, columns, ncols):
+    """Solutions of ``matrix @ x = b``, one per right-hand side b in columns.
+
+    None when some system is inconsistent; GeometryError when a consistent
+    system has a free column.
+    """
+    rows = _integer_rows(
+        list(row) + [b[i] for b in columns] for i, row in enumerate(matrix)
+    )
+    pivots, _ = _eliminate(rows, ncols)
+    rank = len(pivots)
+    if any(any(row[ncols:]) for row in rows[rank:]):
+        return None
+    if rank < ncols:
+        raise GeometryError("linear system does not have a unique solution")
+    # Back-substitution on the triangular block.  By Cramer's rule, last * x
+    # is an integer vector (last = the determinant of the pivot rows), so
+    # every division below is exact.
+    last = rows[rank - 1][rank - 1] if rank else 1
+    solutions = []
+    for b in range(ncols, ncols + len(columns)):
+        y = [0] * ncols
+        for k in range(ncols - 1, -1, -1):
+            row = rows[k]
+            s = last * row[b]
+            for j in range(k + 1, ncols):
+                s -= row[j] * y[j]
+            y[k] = s // row[k]
+        solutions.append([Fraction(v, last) for v in y])
+    return solutions
+
+
 def det_int(matrix):
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     n = len(matrix)
@@ -165,21 +233,8 @@ def det_int(matrix):
     if n == 0:
         return 1
     a = [[int(x) for x in row] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, sign = _eliminate(a, n)
+    return sign * a[n - 1][n - 1] if len(pivots) == n else 0
 
 
 def cone_volume(generators):
@@ -202,26 +257,10 @@ def cone_volume(generators):
 
 def matrix_rank(matrix):
     """Rank of a matrix with integer or Fraction entries, exactly."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    if not m:
+    if not matrix:
         return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][c]
-        m[rank] = [a * inv for a in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    rows = _integer_rows(matrix)
+    return len(_eliminate(rows, len(rows[0]))[0])
 
 
 def solve_rational(matrix, rhs):
@@ -233,56 +272,18 @@ def solve_rational(matrix, rhs):
     """
     if not matrix:
         raise GeometryError("cannot solve an empty system")
-    ncols = len(matrix[0])
-    m = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(matrix, rhs)]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
-    if len(pivots) < ncols:
-        raise GeometryError("linear system does not have a unique solution")
-    x = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        x[c] = m[row_idx][ncols]
-    return x
+    solutions = _solve(matrix, [rhs], len(matrix[0]))
+    return None if solutions is None else solutions[0]
 
 
 def invert_rational(matrix):
     """Exact inverse of a square matrix, as rows of Fractions."""
     n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(int(j == i)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise GeometryError("matrix is singular")
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-    return [row[n:] for row in m]
+    identity = [[int(i == j) for i in range(n)] for j in range(n)]
+    columns = _solve(matrix, identity, n)
+    if columns is None:
+        raise GeometryError("matrix is singular")
+    return [list(row) for row in zip(*columns)]
 
 
 def solve_integral(matrix, rhs):

@@ -201,8 +201,12 @@ def rm_coefficient(ctx, m0, beta, tie_break=None):
     return ctx.engine.residue(exps, tie_break=tie_break)
 
 
-def _validated_poly(ctx, P):
-    """Check every monomial of P for nonnegativity, degree and interiority."""
+def validate_polynomial(ctx, P):
+    """Check a series input polynomial; returns it cleaned, raises otherwise.
+
+    Every monomial must have nonnegative exponents, degree equal to the rank
+    and an image interior to the support cone; zero terms are dropped.
+    """
     clean = {}
     for exps, coeff in P.items():
         coeff = Fraction(coeff)
@@ -223,11 +227,6 @@ def _validated_poly(ctx, P):
             )
         clean[exps] = coeff
     return clean
-
-
-def validate_polynomial(ctx, P):
-    """Check a series input polynomial; returns it cleaned, raises otherwise."""
-    return _validated_poly(ctx, P)
 
 
 @dataclass(frozen=True)
@@ -265,7 +264,7 @@ def rm_series(ctx, P, bound):
     monomials carry distinct parameter prefactors, so no cross-monomial
     cancellation could repair a non-interior part).
     """
-    P = _validated_poly(ctx, P)
+    P = validate_polynomial(ctx, P)
     rows = []
     for beta in ctx.effective_classes(bound):
         total = Fraction(0)

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import GeometryError, InvariantError, solve_rational
+from .lattice import GeometryError, InvariantError, det_int, solve_rational
 from .mirror import HessianExpansion, ResidueContext, hessian, rm_series
 
 
@@ -88,29 +88,6 @@ def mixed_residue(cayley, k, bound, v0=None):
 # volumes by determinant arithmetic
 # ---------------------------------------------------------------------------
 
-def _det(matrix):
-    """Exact determinant over the rationals by Gaussian elimination."""
-    mat = [[Fraction(x) for x in row] for row in matrix]
-    n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col] == 0:
-                continue
-            factor = mat[r][col] * inv
-            for c in range(col, n):
-                mat[r][c] -= factor * mat[col][c]
-    return det
-
-
 def _cone_grade(cayley, cone):
     """How many non-apex generators of each part a maximal cone uses."""
     grade = [0] * cayley.r
@@ -122,7 +99,7 @@ def _cone_grade(cayley, cone):
 
 def _dilated_volume(cayley, c):
     """Volume of the Cayley cone triangulation with part j scaled by c_j."""
-    total = Fraction(0)
+    total = 0
     for cone in cayley.fan.max_cones:
         rows = []
         for i in cone:
@@ -135,7 +112,7 @@ def _dilated_volume(cayley, c):
                 )
             else:
                 rows.append(gen)
-        value = _det(rows)
+        value = det_int(rows)
         if value == 0:
             raise InvariantError(f"cone {cone} degenerates under dilation {c}")
         total += abs(value)
@@ -172,9 +149,7 @@ def mixed_volume_table(cayley):
     matrix = []
     rhs = []
     for c in nodes:
-        matrix.append([
-            Fraction(_power_product(c, k)) for k in monomials
-        ])
+        matrix.append([_power_product(c, k) for k in monomials])
         rhs.append(_dilated_volume(cayley, c))
     coeffs = solve_rational(matrix, rhs)
     if coeffs is None:

@@ -223,36 +223,43 @@ class ProblemContext:
         if spec.nef_partition is None:
             self.cayley = None
             self.fan = build_fan(tri, polytope)
-            self.polynomial = self._read_polynomial(len(points), origin=None)
         else:
             self.cayley = build_cayley(tri, spec.nef_partition, polytope)
-            origin = self.cayley.origin_index
-            self.polynomial = self._read_polynomial(len(points), origin=origin)
             self.fan = self.cayley.fan
+        self.polynomial = read_polynomial(spec, len(points), self.cayley)
         self.residue = ResidueContext(self.fan, v0)
-
-    def _read_polynomial(self, width, origin):
-        poly = {}
-        for coeff, exps in self.spec.polynomial:
-            if len(exps) != width:
-                raise ProblemError(
-                    f"exponent vector {exps} does not cover the {width} "
-                    "lattice points"
-                )
-            if origin is not None:
-                if exps[origin] != 0:
-                    raise ProblemError(
-                        f"exponent vector {exps} is nonzero at the origin slot "
-                        f"{origin}; apex factors are added by the pipeline"
-                    )
-                exps = exps[:origin] + exps[origin + 1:]
-            key = tuple(exps)
-            poly[key] = poly.get(key, Fraction(0)) + coeff
-        return {k: c for k, c in poly.items() if c != 0}
 
     @property
     def is_nef(self):
         return self.cayley is not None
+
+
+def read_polynomial(spec, width, cayley=None):
+    """The file's polynomial as a dict over the working generators.
+
+    Exponent vectors must cover the ``width`` lattice points.  With Cayley
+    data the origin slot must be zero and is dropped, leaving exponents over
+    the non-origin points of the base.  Equal monomials are merged and zero
+    terms dropped.
+    """
+    origin = None if cayley is None else cayley.origin_index
+    poly = {}
+    for coeff, exps in spec.polynomial:
+        if len(exps) != width:
+            raise ProblemError(
+                f"exponent vector {exps} does not cover the {width} "
+                "lattice points"
+            )
+        if origin is not None:
+            if exps[origin] != 0:
+                raise ProblemError(
+                    f"exponent vector {exps} is nonzero at the origin slot "
+                    f"{origin}; apex factors are added by the pipeline"
+                )
+            exps = exps[:origin] + exps[origin + 1:]
+        key = tuple(exps)
+        poly[key] = poly.get(key, Fraction(0)) + coeff
+    return {k: c for k, c in poly.items() if c != 0}
 
 
 def build_context(spec, v0=None):

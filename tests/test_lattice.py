@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricres import (
@@ -39,6 +39,13 @@ from toricres.lattice import (
     vec_add,
     vec_scale,
     vec_sub,
+)
+
+from gauss_jordan_reference import (
+    reference_det,
+    reference_inverse,
+    reference_rank,
+    reference_solve,
 )
 
 ints = st.integers(min_value=-9, max_value=9)
@@ -168,6 +175,78 @@ def test_matrix_rank_detects_dependence():
     assert matrix_rank([(1, 2), (2, 4)]) == 1
     assert matrix_rank([(1, 0), (0, 1)]) == 2
     assert matrix_rank([]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against plain Fraction Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def dependent_rows(draw, nrows, ncols):
+    """Integer rows, some replaced by combinations of earlier rows."""
+    rows = [list(draw(st.tuples(*([ints] * ncols)))) for _ in range(nrows)]
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            s, t = draw(ints), draw(ints)
+            rows[i] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+@st.composite
+def linear_systems(draw):
+    """Rectangular systems; half of them consistent by construction."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rows = draw(dependent_rows(nrows, ncols))
+    if draw(st.booleans()):
+        x = draw(st.lists(small_fractions, min_size=ncols, max_size=ncols))
+        rhs = [sum(a * xi for a, xi in zip(row, x)) for row in rows]
+    else:
+        rhs = draw(st.lists(small_fractions, min_size=nrows, max_size=nrows))
+    return rows, rhs
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return draw(dependent_rows(n, n))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GeometryError as exc:
+        return GeometryError, str(exc)
+
+
+@given(linear_systems())
+# overdetermined and consistent, the shape mixed_volume_table solves
+@example(([[1, 0], [0, 2], [1, 2]], [Fraction(1, 2), 3, Fraction(7, 2)]))
+# inconsistent: None
+@example(([[1, 2], [2, 4], [0, 1]], [1, 3, 0]))
+# underdetermined and consistent: GeometryError
+@example(([[1, 2, 3], [2, 4, 6]], [Fraction(1, 3), Fraction(2, 3)]))
+# underdetermined and inconsistent: None comes first
+@example(([[1, 2, 3], [2, 4, 6]], [1, 3]))
+@settings(max_examples=200)
+def test_rank_and_solve_match_gauss_jordan(system):
+    rows, rhs = system
+    assert matrix_rank(rows) == reference_rank(rows)
+    scaled = [[Fraction(a, i + 2) for a in row] for i, row in enumerate(rows)]
+    assert matrix_rank(scaled) == reference_rank(rows)
+    assert outcome(solve_rational, rows, rhs) == outcome(reference_solve, rows, rhs)
+
+
+@given(square_matrices())
+@example([[1, 2], [2, 4]])
+@example([[0, 1, 0], [1, 0, 0], [0, 0, 5]])
+@settings(max_examples=200)
+def test_det_and_inverse_match_gauss_jordan(mat):
+    assert det_int(mat) == reference_det(mat)
+    assert outcome(invert_rational, mat) == outcome(reference_inverse, mat)
 
 
 def test_relations_among_projective_plane_vectors():
