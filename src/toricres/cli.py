@@ -28,7 +28,6 @@ from .mirror import (
     verify_ideal_vanishing,
 )
 from .mpcayley import (
-    beta_lift,
     cayley_rm_coefficient,
     ci_series,
     ci_series_coefficient,

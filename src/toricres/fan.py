@@ -6,7 +6,9 @@ subdividing the cone over the polytope.  This module builds those fans,
 certifies coherence of the triangulation by an exact strict-feasibility
 lifting, completes the fan with an extra ray, extracts wall relations (the
 Mori generators), and enumerates the effective relation classes up to a
-degree bound.
+degree bound.  Enumeration tests membership in the Mori cone against its
+facet normals, computed once per call, and each fan keeps the class lists
+it has enumerated, so a problem context enumerates each (bound, ample) once.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ from .lattice import (
     dot,
     facet_inequalities,
     feasible_point,
-    hermite_normal_form,
-    integer_kernel_basis,
-    lattice_points_in,
     matrix_rank,
     primitive_vector,
     relations_among,
@@ -258,6 +257,7 @@ class Fan:
         self.support_facets = None if support_facets is None else tuple(support_facets)
         self.height_dual = None if height_dual is None else tuple(height_dual)
         self.lifting = None if lifting is None else tuple(lifting)
+        self._effective = {}  # (bound, ample) -> enumerate_effective's classes
         if self.height_dual is not None:
             bad = [g for g in self.generators if dot(self.height_dual, g) != 1]
             if bad:
@@ -494,25 +494,6 @@ def wall_relations(fan, ample=None):
     return MoriData(wall_relations=rels, ample=None if L is None else tuple(L))
 
 
-def _cone_member(vectors, target, nvars):
-    """Exact Farkas test: is target a nonnegative combination of vectors."""
-    if all(x == 0 for x in target):
-        return True
-    if not vectors:
-        return False
-    dim = len(target)
-    constraints = []
-    for j in range(nvars):
-        coeffs = [Fraction(0)] * nvars
-        coeffs[j] = Fraction(1)
-        constraints.append((tuple(coeffs), Fraction(0)))
-    for k in range(dim):
-        row = tuple(Fraction(vec[k]) for vec in vectors)
-        constraints.append((row, Fraction(-target[k])))
-        constraints.append((tuple(-x for x in row), Fraction(target[k])))
-    return feasible_point(constraints, nvars) is not None
-
-
 def enumerate_effective(fan, bound, ample=None):
     """Lattice points of the Mori cone with degree at most ``bound``.
 
@@ -520,6 +501,15 @@ def enumerate_effective(fan, bound, ample=None):
     the functional must be strictly positive on every wall relation, which
     makes the slice compact.  Output is sorted by (degree, lex) and always
     contains the zero class.
+
+    The Mori cone is the cone spanned by the wall relations.  In the
+    coordinates of ``fan.relation_basis`` it is full-dimensional (a weight
+    vanishing on every wall relation is linear across every interior wall,
+    hence affine) and pointed (the degree is positive on it), so its facet
+    normals, computed once, decide membership: a point of the bounding box
+    of the degree slice is kept when it pairs nonnegatively with each.  The
+    result is cached on the fan per (bound, ample), so repeated calls within
+    one problem context cost a lookup.
     """
     mori = wall_relations(fan, ample)
     L = mori.ample
@@ -527,12 +517,25 @@ def enumerate_effective(fan, bound, ample=None):
         raise GeometryError("no ample/degree values available")
     if bound < 0:
         raise GeometryError("negative degree bound")
-    rels = mori.wall_relations
+    key = (bound, L)
+    if key not in fan._effective:
+        fan._effective[key] = _mori_lattice_points(fan, mori.wall_relations, bound, L)
+    return fan._effective[key]
+
+
+def _mori_lattice_points(fan, rels, bound, L):
     if not rels:
         return ((0,) * len(fan.generators),)
     basis = fan.relation_basis
     rho = len(basis)
     ycoords = [fan.relation_coords(rel) for rel in rels]
+    span = matrix_rank(ycoords)
+    if span != rho:
+        raise InvariantError(
+            f"the wall relations of the fan on generators {fan.generators} "
+            f"span rank {span}, not the relation rank {rho}"
+        )
+    normals = cone_facet_normals(ycoords)
     degs = [dot(L, rel) for rel in rels]
     los, his = [], []
     for i in range(rho):
@@ -541,15 +544,14 @@ def enumerate_effective(fan, bound, ample=None):
         his.append(floor(max(vals)))
     out = []
     for y in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
+        if any(dot(w, y) < 0 for w in normals):
+            continue
         beta = tuple(
             sum(y[i] * basis[i][j] for i in range(rho))
             for j in range(len(fan.generators))
         )
         deg = dot(L, beta)
-        if deg > bound:
-            continue
-        if not _cone_member(ycoords, y, len(rels)):
-            continue
-        out.append((deg, beta))
+        if deg <= bound:
+            out.append((deg, beta))
     out.sort()
     return tuple(beta for _, beta in out)

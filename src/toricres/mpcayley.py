@@ -16,16 +16,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fan import Triangulation, Fan, complete, enumerate_effective, find_lifting, \
+from .fan import Triangulation, Fan, enumerate_effective, find_lifting, \
     validate_triangulation, verify_coherence
 from .jk import JKEngine, evaluate_top_class
 from .lattice import (
     GeometryError,
     InvariantError,
     cone_facet_normals,
-    dot,
     feasible_point,
-    vec_add,
 )
 from .mirror import ResidueContext, SeriesTable, rm_coefficient
 from .poly import monomial, poly_mul, poly_pow

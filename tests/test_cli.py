@@ -196,6 +196,46 @@ def test_verify_is_stable_under_seed(capsys):
     assert base == seeded
 
 
+def test_verify_enumerates_each_fan_and_bound_once(capsys, monkeypatch):
+    import toricres.fan
+
+    fans = []
+    init = toricres.fan.Fan.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        fans.append(self)
+
+    calls = []
+    original = toricres.fan.cone_facet_normals
+
+    def counting(generators):
+        calls.append(generators)
+        return original(generators)
+
+    monkeypatch.setattr(toricres.fan.Fan, "__init__", recording_init)
+    monkeypatch.setattr(toricres.fan, "cone_facet_normals", counting)
+    code, out, err = run(capsys, "verify", str(problem_path("square_r2")),
+                         "--format", "report")
+    assert code == 0 and err == ""
+    # Each fan keeps one class list per (bound, ample) it was asked for; the
+    # facet normals are computed only when such a list is first built.
+    enumerated = sum(len(fan._effective) for fan in fans)
+    assert 0 < len(calls) <= enumerated
+
+
+def test_problem_contexts_do_not_share_enumerations():
+    from toricres import build_context, load_problem
+
+    path = problem_path("square_r2")
+    first = build_context(load_problem(path)).residue
+    second = build_context(load_problem(path)).residue
+    classes = first.effective_classes(4)
+    assert first.effective_classes(4) is classes
+    assert second.effective_classes(4) == classes
+    assert second.effective_classes(4) is not classes
+
+
 # ---------------------------------------------------------------------------
 # mixed-volume
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Triangulations, polytope fans, completions, and effective-class enumeration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricres import (
+    Fan,
     GeometryError,
+    InvariantError,
     Triangulation,
     TriangulationError,
+    build_context,
     build_fan,
     complete,
     enumerate_effective,
@@ -14,6 +19,10 @@ from toricres import (
     verify_coherence,
     wall_relations,
 )
+from toricres.problem import parse_problem
+
+from fm_reference import reference_enumerate_effective
+from strategies import fans, star_triangulation
 
 SEGMENT = ((-1,), (0,), (1,))
 
@@ -198,3 +207,63 @@ def test_enumerate_effective_respects_degree_bound(p2):
         degree = sum(h * b for h, b in zip(ample, beta))
         assert 0 <= degree <= 6
         assert fan.is_relation(beta)
+
+
+@given(fans(max_rho=3), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_facet_enumeration_matches_fourier_motzkin(fan, bound):
+    assert enumerate_effective(fan, bound) == reference_enumerate_effective(fan, bound)
+
+
+HEXAGON = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+
+
+def test_enumerate_effective_hexagon_star():
+    # The reflexive hexagon: six walls in a Mori cone of rank four.  With a
+    # Fourier-Motzkin test per box point, bound 1 alone ran past 100 s.
+    points = sorted(HEXAGON + ((0, 0),))
+    pc = build_context(parse_problem({
+        "name": "hexagon",
+        "dimension": 2,
+        "vertices": [list(v) for v in HEXAGON],
+        "simplices": [list(s) for s in star_triangulation(points)],
+        "nef_partition": [[k for k, p in enumerate(points) if p != (0, 0)]],
+        "bound": 3,
+        "polynomial": [[1, [0] * len(points)]],
+    }))
+    for fan in (pc.fan, pc.cayley.bar_fan):
+        assert len(fan.relation_basis) == 4 and len(fan.wall_relations) == 6
+        top = enumerate_effective(fan, 3)
+        degrees = [sum(h * b for h, b in zip(fan.lifting, beta)) for beta in top]
+        assert degrees == sorted(degrees)
+        for bound, count in enumerate((1, 7, 25, 65)):
+            classes = enumerate_effective(fan, bound)
+            assert len(classes) == count
+            assert classes == top[:count]
+            for beta, degree in zip(classes, degrees):
+                assert fan.is_relation(beta) and degree <= bound
+
+
+def test_enumerate_effective_refuses_walls_that_do_not_span():
+    # Generator 2 lies in no cone, so the one wall relation spans rank 1 of
+    # the rank-2 relation lattice: the facet test does not apply.
+    gens = [(-1, 1), (0, 1), (1, 1), (2, 1)]
+    fan = Fan(gens, [(0, 1), (1, 3)], support_facets=[(1, 1), (-1, 2)],
+              lifting=(1, 0, 0, 1))
+    assert fan.wall_relations == ((2, -3, 0, 1),)
+    with pytest.raises(InvariantError, match=r"generators \(\(-1, 1\).*span rank 1"):
+        enumerate_effective(fan, 3)
+
+
+def test_enumerate_effective_fails_fast_beyond_the_rank_limit():
+    # The ten lattice points of the triangle with vertices (0,0), (3,0),
+    # (0,3) have relation rank 7, past the brute-force facet limit; the
+    # Fourier-Motzkin scan ran past 100 s at bound 1 on this fan.
+    points = [(x, y) for x in range(4) for y in range(4 - x)]
+    simplices = [(0, 1, 4), (1, 2, 5), (1, 4, 5), (2, 3, 6), (2, 5, 6),
+                 (4, 5, 7), (5, 6, 8), (5, 7, 8), (7, 8, 9)]
+    lifting = [x * x + x * y + y * y for x, y in points]
+    fan = build_fan(Triangulation(points, simplices, lifting=lifting))
+    assert len(fan.relation_basis) == 7
+    with pytest.raises(GeometryError, match="rank 7 exceeds"):
+        enumerate_effective(fan, 1)
