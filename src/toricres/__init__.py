@@ -76,7 +76,6 @@ from .mpcayley import (
     beta_lift,
     beta_restrict,
     build_cayley,
-    cayley_context,
     cayley_rm_coefficient,
     ci_series,
     ci_series_coefficient,

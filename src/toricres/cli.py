@@ -1,7 +1,9 @@
 """Command-line interface: validate, series, verify, mixed-volume.
 
-Every command reads one problem file (see problem.py for the schema) and
-prints either a plain text table or a JSON report (--format report).  Output
+Every command reads one problem file (see problem.py for the schema),
+assembles it through the stages of ``problem.ProblemContext`` and stops at
+the first failing one; ``validate`` reports every stage.  Each command prints
+either a plain text table or a JSON report (--format report).  Output
 is deterministic for a given input: tables are sorted, rationals are printed
 in lowest terms, and nothing environment-dependent is emitted.  Exit codes:
 0 on success, 1 when a check or computation fails, 2 for usage errors and
@@ -20,10 +22,10 @@ from .fan import enumerate_effective
 from .jk import SeededTieBreak
 from .lattice import GeometryError, InvariantError, primitive_vector, vec_neg
 from .mirror import (
+    ResidueContext,
     interior_points_at_height,
     rm_coefficient,
     rm_series,
-    validate_polynomial,
     verify_hessian_identity,
     verify_ideal_vanishing,
 )
@@ -33,12 +35,11 @@ from .mpcayley import (
     ci_series_coefficient,
     crosscheck_coefficient,
     evaluation_value_pair,
-    interior_polynomial,
     part_degrees,
     substitution_value_pair,
 )
 from .mixedvol import mixed_volume_table, verify_mixed_volume_theorem
-from .problem import ProblemContext, ProblemError, load_problem, read_polynomial
+from .problem import ProblemContext, ProblemError, load_problem
 
 
 def _parser():
@@ -115,98 +116,17 @@ def _emit_report(payload):
 # ---------------------------------------------------------------------------
 
 def run_validate(args):
-    from .fan import Triangulation, build_fan, find_lifting, validate_triangulation, \
-        verify_coherence
-    from .lattice import LatticePolytope
-    from .mirror import ResidueContext
-    from .mpcayley import build_cayley
-
     spec = load_problem(args.problem)
-    v0 = _parse_v0(args)
+    pc = ProblemContext.unassembled(spec, v0=_parse_v0(args))
     rows = []
-    state = {}
-
-    def stage(name, fn):
-        if any(status == "FAIL" for _, status, _ in rows):
+    for name, stage in pc.stages():
+        if rows and rows[-1][1] != "ok":
             rows.append((name, "-", "skipped"))
-            return
+            continue
         try:
-            detail = fn()
+            rows.append((name, "ok", stage()))
         except (ProblemError, GeometryError, InvariantError) as exc:
             rows.append((name, "FAIL", str(exc)))
-            return
-        rows.append((name, "ok", detail))
-
-    def check_polytope():
-        polytope = LatticePolytope(spec.vertices)
-        if polytope.dim != spec.dimension:
-            raise ProblemError(
-                f"vertices span dimension {polytope.dim}, file says "
-                f"{spec.dimension}"
-            )
-        state["polytope"] = polytope
-        state["points"] = polytope.lattice_points
-        return (f"dimension {polytope.dim}, {len(state['points'])} lattice "
-                f"points, {len(polytope.facets)} facets")
-
-    def check_triangulation():
-        if spec.lifting is not None \
-                and len(spec.lifting) != len(state["points"]):
-            raise ProblemError(
-                f"lifting has {len(spec.lifting)} values for "
-                f"{len(state['points'])} lattice points"
-            )
-        tri = Triangulation(state["points"], spec.simplices,
-                            lifting=spec.lifting)
-        validate_triangulation(tri, state["polytope"])
-        state["tri"] = tri
-        return f"{len(tri.simplices)} simplices cover the polytope"
-
-    def check_coherence():
-        tri = state["tri"]
-        if tri.lifting is not None:
-            if not verify_coherence(tri):
-                raise ProblemError("the given lifting does not certify coherence")
-            state["lifting"] = tri.lifting
-            return "the given lifting certifies coherence"
-        found = find_lifting(tri)
-        if found is None:
-            raise ProblemError("the triangulation admits no coherent lifting")
-        state["tri"] = Triangulation(state["points"], spec.simplices,
-                                     lifting=found)
-        state["lifting"] = found
-        return f"found certifying lifting {found}"
-
-    def check_partition():
-        cayley = build_cayley(state["tri"], spec.nef_partition,
-                              state["polytope"])
-        state["cayley"] = cayley
-        sizes = "+".join(str(len(p)) for p in cayley.parts)
-        return f"{cayley.r} parts ({sizes} points), Cayley data assembled"
-
-    def check_completion():
-        if spec.nef_partition is None:
-            fan = build_fan(state["tri"], state["polytope"])
-        else:
-            fan = state["cayley"].fan
-        state["ctx"] = ResidueContext(fan, v0 if v0 is not None else spec.v0)
-        return f"completion ray {state['ctx'].v0} accepted"
-
-    def check_polynomial():
-        cayley = state.get("cayley")
-        P = read_polynomial(spec, len(state["points"]), cayley)
-        if cayley is not None:
-            P = interior_polynomial(cayley, P)
-        cleaned = validate_polynomial(state["ctx"], P)
-        return f"{len(cleaned)} interior monomials of the right degree"
-
-    stage("polytope", check_polytope)
-    stage("triangulation", check_triangulation)
-    stage("coherence", check_coherence)
-    if spec.nef_partition is not None:
-        stage("nef-partition", check_partition)
-    stage("completion", check_completion)
-    stage("polynomial", check_polynomial)
 
     ok = all(status == "ok" for _, status, _ in rows)
     if args.format == "report":
@@ -318,8 +238,7 @@ def _alternate_completion(fan, avoid):
 def _verify_checks(pc, bound, seed):
     """The identity battery; returns a list of (name, callable) pairs."""
     ctx = pc.residue
-    P_work = (interior_polynomial(pc.cayley, pc.polynomial) if pc.is_nef
-              else pc.polynomial)
+    P_work = pc.residue_polynomial
     checks = []
 
     def hessian_plain():
@@ -402,7 +321,6 @@ def _verify_checks(pc, bound, seed):
         alt = _alternate_completion(ctx.fan, ctx.v0)
         if alt is None:
             return False, "no alternate completion ray found"
-        from .mirror import ResidueContext
         other = ResidueContext(ctx.fan, alt, ample=ctx.ample)
         base = rm_series(ctx, P_work, bound)
         again = rm_series(other, P_work, bound)

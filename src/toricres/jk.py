@@ -18,6 +18,7 @@ import logging
 import random
 from fractions import Fraction
 
+from .fan import _wall_census
 from .lattice import (
     GeometryError,
     InvariantError,
@@ -234,8 +235,6 @@ def evaluate_top_class(fan_like, polynomial, allow_incomplete=False):
             f"expected a homogeneous degree-{rank} polynomial, got degrees {sorted(degrees)}"
         )
     if not allow_incomplete:
-        from .fan import _wall_census
-
         census = _wall_census(max_cones)
         if any(len(owners) != 2 for owners in census.values()):
             raise GeometryError(

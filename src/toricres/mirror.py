@@ -25,6 +25,7 @@ from .lattice import (
     cone_volume,
     dot,
     integer_kernel_basis,
+    solve_rational,
     vec_add,
 )
 
@@ -92,8 +93,6 @@ def gamma_weight_vector(fan, gamma):
     Existence of this vector is what makes a weight tuple admissible for the
     weighted Hessian identity.
     """
-    from .lattice import solve_rational
-
     gamma = [Fraction(g) for g in gamma]
     if len(gamma) != len(fan.generators):
         raise GeometryError("need one weight per generator")

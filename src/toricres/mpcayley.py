@@ -24,8 +24,9 @@ from .lattice import (
     InvariantError,
     cone_facet_normals,
     feasible_point,
+    solve_rational,
 )
-from .mirror import ResidueContext, SeriesTable, rm_coefficient
+from .mirror import SeriesTable, rm_coefficient
 from .poly import monomial, poly_mul, poly_pow
 
 
@@ -382,8 +383,6 @@ def _check_nef_partition(bar_fan, parts, polytope, points, parts_points,
     extension on every maximal cone; and each part polytope conv({0} u part)
     may contain no other lattice point of the base polytope.
     """
-    from .lattice import solve_rational
-
     for j, part in enumerate(parts):
         members = set(part)
         for rel in bar_fan.wall_relations:
@@ -445,11 +444,6 @@ def build_cayley(tri, parts_points, polytope=None):
     """
     poly = validate_triangulation(tri, polytope)
     return CayleyData(poly, tri, parts_points)
-
-
-def cayley_context(cayley, v0=None):
-    """ResidueContext over the Cayley fan (default completion: minus apexes)."""
-    return ResidueContext(cayley.fan, v0)
 
 
 # --- class dictionary -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Problem files: a small JSON schema for the command-line tools.
+"""Problem files: a small JSON schema, and the one path that assembles them.
 
 A problem file describes one polytope with a triangulation and the input
 polynomial, plus optional nef-partition data, a completion ray and a degree
@@ -22,6 +22,18 @@ With a nef partition present the polytope is the base of a Cayley
 construction; polynomial exponents still run over the point list, with the
 origin slot required to be zero (the apex factors are supplied by the
 pipeline, never written in the file).
+
+``ProblemContext`` assembles a parsed file in named stages, in this order:
+
+    polytope       the vertices' hull, its dimension and lattice points
+    triangulation  the simplices cover the polytope and meet properly
+    coherence      the given lifting certifies them, or one is found
+    nef-partition  the Cayley data (only with a nef partition)
+    completion     the working fan, completed by the v0 ray
+    polynomial     interior monomials of the right degree
+
+Every command builds its context this way and stops at the first failing
+stage; ``validate`` runs the same stages one at a time and reports each.
 """
 
 from __future__ import annotations
@@ -30,10 +42,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fan import Triangulation, build_fan, find_lifting, verify_coherence
+from .fan import (
+    Triangulation,
+    build_fan,
+    find_lifting,
+    validate_triangulation,
+    verify_coherence,
+)
 from .lattice import LatticePolytope
-from .mirror import ResidueContext
-from .mpcayley import build_cayley
+from .mirror import ResidueContext, validate_polynomial
+from .mpcayley import CayleyData, interior_polynomial
 
 
 class ProblemError(ValueError):
@@ -186,52 +204,121 @@ def load_problem(path):
 class ProblemContext:
     """Everything the commands need, assembled from a problem spec.
 
-    Attributes: spec, polytope, triangulation, cayley (None when the file
-    has no nef partition), fan (the working fan the residue machinery runs
-    on), residue (its ResidueContext) and polynomial (exponents over the
-    working generators: the lattice points, or the non-origin points of the
-    base when a nef partition is present).
+    Assembly runs the stages of ``stages()`` in order and stops at the
+    first error: polytope, triangulation, coherence, nef-partition (files
+    with a nef partition only), completion, polynomial.
+
+    Attributes: spec, polytope, points, triangulation (with its certifying
+    lifting), cayley (None when the file has no nef partition), fan (the
+    working fan the residue machinery runs on), residue (its
+    ResidueContext), polynomial (exponents over the working generators:
+    the lattice points, or the non-origin points of the base when a nef
+    partition is present) and residue_polynomial (the validated polynomial
+    the residue route consumes: the same one, times every apex on nef
+    files).
     """
 
     def __init__(self, spec, v0=None):
+        self._start(spec, v0)
+        for _, stage in self.stages():
+            stage()
+
+    @classmethod
+    def unassembled(cls, spec, v0=None):
+        """The context before any stage has run, to step through stages()."""
+        context = cls.__new__(cls)
+        context._start(spec, v0)
+        return context
+
+    def _start(self, spec, v0):
         self.spec = spec
-        v0 = v0 if v0 is not None else spec.v0
-        polytope = LatticePolytope(spec.vertices)
-        if polytope.dim != spec.dimension:
-            raise ProblemError(
-                f"vertices span dimension {polytope.dim}, file says {spec.dimension}"
-            )
-        points = polytope.lattice_points
-        if spec.lifting is not None and len(spec.lifting) != len(points):
-            raise ProblemError(
-                f"lifting has {len(spec.lifting)} values for {len(points)} "
-                "lattice points"
-            )
-        tri = Triangulation(points, spec.simplices, lifting=spec.lifting)
-        if tri.lifting is None:
-            found = find_lifting(tri)
-            if found is None:
-                raise ProblemError("the triangulation admits no coherent lifting")
-            tri = Triangulation(points, spec.simplices, lifting=found)
-        elif not verify_coherence(tri):
-            raise ProblemError("the given lifting does not certify coherence")
-
-        self.polytope = polytope
-        self.points = points
-        self.triangulation = tri
-
-        if spec.nef_partition is None:
-            self.cayley = None
-            self.fan = build_fan(tri, polytope)
-        else:
-            self.cayley = build_cayley(tri, spec.nef_partition, polytope)
-            self.fan = self.cayley.fan
-        self.polynomial = read_polynomial(spec, len(points), self.cayley)
-        self.residue = ResidueContext(self.fan, v0)
+        self._v0 = v0 if v0 is not None else spec.v0
+        self.cayley = None
 
     @property
     def is_nef(self):
         return self.cayley is not None
+
+    def stages(self):
+        """The assembly stages in order, as (name, step) pairs.
+
+        Each step sets its part of the context and returns a one-line
+        detail; it raises ProblemError, GeometryError or InvariantError
+        when its part of the file is invalid.  Later steps read what
+        earlier ones set.
+        """
+        stages = [
+            ("polytope", self._polytope),
+            ("triangulation", self._triangulation),
+            ("coherence", self._coherence),
+        ]
+        if self.spec.nef_partition is not None:
+            stages.append(("nef-partition", self._nef_partition))
+        return stages + [
+            ("completion", self._completion),
+            ("polynomial", self._polynomial),
+        ]
+
+    def _polytope(self):
+        spec = self.spec
+        self.polytope = LatticePolytope(spec.vertices)
+        if self.polytope.dim != spec.dimension:
+            raise ProblemError(
+                f"vertices span dimension {self.polytope.dim}, file says "
+                f"{spec.dimension}"
+            )
+        self.points = self.polytope.lattice_points
+        return (f"dimension {self.polytope.dim}, {len(self.points)} lattice "
+                f"points, {len(self.polytope.facets)} facets")
+
+    def _triangulation(self):
+        spec = self.spec
+        if spec.lifting is not None and len(spec.lifting) != len(self.points):
+            raise ProblemError(
+                f"lifting has {len(spec.lifting)} values for "
+                f"{len(self.points)} lattice points"
+            )
+        tri = Triangulation(self.points, spec.simplices, lifting=spec.lifting)
+        validate_triangulation(tri, self.polytope)
+        self.triangulation = tri
+        return f"{len(tri.simplices)} simplices cover the polytope"
+
+    def _coherence(self):
+        tri = self.triangulation
+        if tri.lifting is not None:
+            if not verify_coherence(tri):
+                raise ProblemError("the given lifting does not certify coherence")
+            return "the given lifting certifies coherence"
+        found = find_lifting(tri)
+        if found is None:
+            raise ProblemError("the triangulation admits no coherent lifting")
+        self.triangulation = Triangulation(self.points, tri.simplices,
+                                           lifting=found)
+        return f"found certifying lifting {found}"
+
+    def _nef_partition(self):
+        self.cayley = CayleyData(self.polytope, self.triangulation,
+                                 self.spec.nef_partition)
+        sizes = "+".join(str(len(p)) for p in self.cayley.parts)
+        return f"{self.cayley.r} parts ({sizes} points), Cayley data assembled"
+
+    def _completion(self):
+        if self.cayley is None:
+            self.fan = build_fan(self.triangulation, self.polytope,
+                                 validate=False)
+        else:
+            self.fan = self.cayley.fan
+        self.residue = ResidueContext(self.fan, self._v0)
+        return f"completion ray {self.residue.v0} accepted"
+
+    def _polynomial(self):
+        self.polynomial = read_polynomial(self.spec, len(self.points),
+                                          self.cayley)
+        work = self.polynomial if self.cayley is None else \
+            interior_polynomial(self.cayley, self.polynomial)
+        self.residue_polynomial = validate_polynomial(self.residue, work)
+        return (f"{len(self.residue_polynomial)} interior monomials of the "
+                "right degree")
 
 
 def read_polynomial(spec, width, cayley=None):

@@ -1,9 +1,11 @@
 """Command-line behavior: output shape, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
+import toricres.fan
 from toricres.cli import main
 
 from conftest import FIXTURE_NAMES, problem_path
@@ -73,6 +75,23 @@ P2_WITHOUT_LIFTING = {
 }
 
 
+def counting_everywhere(monkeypatch, name):
+    """Replace a package function in every module that binds it; returns
+    the list its calls are appended to."""
+    calls = []
+    original = getattr(toricres.fan, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if (module_name == "toricres" or module_name.startswith("toricres.")) \
+                and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("data, expected", [
     (PLAIN_SEGMENT, [
         ("polytope", "dimension 1, 3 lattice points, 2 facets"),
@@ -92,26 +111,42 @@ P2_WITHOUT_LIFTING = {
 ])
 def test_validate_searches_for_a_lifting_once(capsys, tmp_path, monkeypatch,
                                               data, expected):
-    import toricres.fan
-    import toricres.problem
-
-    calls = []
-    original = toricres.fan.find_lifting
-
-    def counting(tri):
-        calls.append(tri)
-        return original(tri)
-
-    monkeypatch.setattr(toricres.fan, "find_lifting", counting)
-    monkeypatch.setattr(toricres.problem, "find_lifting", counting)
+    liftings = counting_everywhere(monkeypatch, "find_lifting")
+    validations = counting_everywhere(monkeypatch, "validate_triangulation")
     code, out, err = run(capsys, "validate", write_problem(tmp_path, data),
                          "--format", "report")
     assert code == 0 and err == ""
-    assert len(calls) == 1
+    assert len(liftings) == 1
+    assert len(validations) == 1
     payload = json.loads(out)
     assert payload["ok"] is True
     assert [(c["name"], c["detail"]) for c in payload["checks"]] == expected
     assert all(c["status"] == "ok" for c in payload["checks"])
+
+
+LIFTED_SEGMENT = dict(PLAIN_SEGMENT, lifting=[1, 0, 1])
+
+
+@pytest.mark.parametrize("data, stage", [
+    (dict(PLAIN_SEGMENT, simplices=[[0, 2], [1, 2]]), "triangulation"),
+    (dict(LIFTED_SEGMENT, simplices=[[0, 2], [1, 2]]), "triangulation"),
+    (dict(PLAIN_SEGMENT, simplices=[[0, 2]]), "triangulation"),
+    (dict(PLAIN_SEGMENT, lifting=[0, 1, 0]), "coherence"),
+    (dict(LIFTED_SEGMENT, nef_partition=[[0, 2], []]), "nef-partition"),
+    (dict(PLAIN_SEGMENT, v0=[0, 1]), "completion"),
+    (dict(PLAIN_SEGMENT, polynomial=[[1, [2, 0, 0]]]), "polynomial"),
+], ids=["overlap", "overlap-lifted", "unused-point", "incoherent-lifting",
+        "empty-nef-part", "v0", "non-interior-polynomial"])
+def test_every_command_reports_the_first_failing_stage(capsys, tmp_path,
+                                                       data, stage):
+    path = write_problem(tmp_path, data)
+    code, out, err = run(capsys, "validate", path, "--format", "report")
+    assert code == 1 and err == ""
+    failed = [c for c in json.loads(out)["checks"] if c["status"] == "FAIL"]
+    assert [c["name"] for c in failed] == [stage]
+    for command in ("series", "verify"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out, err) == (1, "", f"error: {failed[0]['detail']}\n")
 
 
 def test_validate_report_format_is_canonical_json(capsys):

@@ -222,6 +222,8 @@ def test_enumerate_effective_hexagon_star():
     # The reflexive hexagon: six walls in a Mori cone of rank four.  With a
     # Fourier-Motzkin test per box point, bound 1 alone ran past 100 s.
     points = sorted(HEXAGON + ((0, 0),))
+    # x_(-1,0) x_(1,0): a valid polynomial, since assembly checks it too.
+    poly = [int(p in ((-1, 0), (1, 0))) for p in points]
     pc = build_context(parse_problem({
         "name": "hexagon",
         "dimension": 2,
@@ -229,7 +231,7 @@ def test_enumerate_effective_hexagon_star():
         "simplices": [list(s) for s in star_triangulation(points)],
         "nef_partition": [[k for k, p in enumerate(points) if p != (0, 0)]],
         "bound": 3,
-        "polynomial": [[1, [0] * len(points)]],
+        "polynomial": [[1, poly]],
     }))
     for fan in (pc.fan, pc.cayley.bar_fan):
         assert len(fan.relation_basis) == 4 and len(fan.wall_relations) == 6

@@ -1,8 +1,9 @@
-"""Every module-level import in the package is used by its module.
+"""Every import in the package sits at module level and is used.
 
-A plain AST scan, so the check needs no linter: a name bound by a top-level
-``import`` or ``from ... import`` must be read somewhere in the module.
-``__init__.py`` is skipped, since re-exporting is its job.
+A plain AST scan, so the check needs no linter: no ``import`` or ``from ...
+import`` may appear inside a function or class body, and a name bound by a
+top-level import must be read somewhere in the module.  ``__init__.py`` is
+skipped by the unused-name check, since re-exporting is its job.
 """
 
 import ast
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricres"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -39,3 +41,28 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def nested_imports(source):
+    """Line numbers of import statements inside function or class bodies."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    lines = set()
+    for scope in ast.walk(ast.parse(source)):
+        if isinstance(scope, scopes):
+            lines.update(
+                node.lineno for node in ast.walk(scope)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            )
+    return sorted(lines)
+
+
+def test_scan_finds_a_nested_import():
+    source = ("import os\n"
+              "def f():\n    from math import gcd\n    return gcd\n"
+              "class C:\n    def g(self):\n        import json\n")
+    assert nested_imports(source) == [3, 7]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_only_at_top_level(path):
+    assert nested_imports(path.read_text()) == []

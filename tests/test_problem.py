@@ -137,12 +137,13 @@ def test_plain_context_uses_the_polytope_fan():
 
 def test_nef_context_drops_the_origin_slot():
     spec = parse_problem(minimal_data(nef_partition=[[0], [2]],
-                                      polynomial=[[1, [1, 0, 1]]]))
+                                      polynomial=[[1, [1, 0, 0]],
+                                                  [1, [0, 0, 1]]]))
     pc = build_context(spec)
     assert pc.is_nef and pc.cayley.r == 2
     # the origin sits between the two endpoints in the lex point order
     assert pc.cayley.origin_index == 1
-    assert pc.polynomial == {(1, 1): Fraction(1)}
+    assert pc.polynomial == {(1, 0): Fraction(1), (0, 1): Fraction(1)}
 
 
 def test_nef_context_rejects_origin_exponent():
