@@ -11,12 +11,10 @@ from .lattice import (
     GeometryError,
     InvariantError,
     LatticePolytope,
-    PointedCone,
     cone_volume,
     facet_inequalities,
     hermite_normal_form,
     integer_kernel_basis,
-    lattice_points,
     primitive_vector,
     relations_among,
 )
@@ -74,8 +72,6 @@ from .mpcayley import (
     CrosscheckResult,
     PushoutFan,
     beta_lift,
-    beta_restrict,
-    build_cayley,
     cayley_rm_coefficient,
     ci_series,
     ci_series_coefficient,

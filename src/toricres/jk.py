@@ -9,6 +9,12 @@ fractions by rewriting one numerator variable at a time against a basis
 chosen from the denominator support.  The reduction involves choices; the
 result provably does not depend on them, and a seeded tie-break mode exists
 so tests can assert exactly that.
+
+Brion evaluation (``evaluate_top_class``) is the independent route: it sums
+a top-degree class, given as a product of (polynomial, power) factors, over
+the maximal cones of a ``Fan`` at the dual-basis coordinates of a generic
+point, using the cone volumes and the wall check the fan has cached.  The
+generic points come from seeded generators, one per attempt.
 """
 
 from __future__ import annotations
@@ -18,12 +24,10 @@ import logging
 import random
 from fractions import Fraction
 
-from .fan import _wall_census
 from .lattice import (
     GeometryError,
     InvariantError,
     cone_volume,
-    det_int,
     matrix_rank,
     relations_among,
     solve_rational,
@@ -193,64 +197,57 @@ def jk_residue(engine, exponents, tie_break=None):
 # Brion evaluation of top-degree cohomology products
 # ---------------------------------------------------------------------------
 
-def _primes(count):
-    ps = []
-    n = 2
-    while len(ps) < count:
-        if all(n % p for p in ps if p * p <= n):
-            ps.append(n)
-        n += 1
-    return ps
-
-
-_POINT_POOL = _primes(256)
+#: Generic points tried before a Brion sum gives up; each attempt hits a
+#: pole with small probability, so running out means a bug, not bad luck.
+MAX_POINT_ATTEMPTS = 100
 
 
 def _generic_point(attempt, rank):
-    start = attempt * rank
-    if start + rank > len(_POINT_POOL):
+    if attempt >= MAX_POINT_ATTEMPTS:
         raise InvariantError("ran out of generic evaluation points")
-    return _POINT_POOL[start:start + rank]
+    rng = random.Random(attempt)
+    return [rng.randrange(1, 10**4) for _ in range(rank)]
 
 
-def evaluate_top_class(fan_like, polynomial, allow_incomplete=False):
-    """Evaluate a top-degree polynomial in the generator classes over a fan.
+def evaluate_top_class(fan, factors, allow_incomplete=False):
+    """Evaluate a top-degree product of polynomials in the generator classes.
 
-    ``fan_like`` needs ``generators`` and ``max_cones``.  The polynomial maps
-    exponent tuples (one slot per generator) to rational coefficients and must
-    be homogeneous of degree equal to the ambient rank.  Evaluation sums, over
-    maximal cones, the polynomial at the cone's dual-basis coordinates of a
-    generic rational point divided by the product of those coordinates times
-    the cone volume.  Two different generic points must agree exactly; that
-    constancy is asserted, and pole hits retry with the next point.
+    ``fan`` is a :class:`~toricres.fan.Fan`.  ``factors`` lists (polynomial,
+    power) pairs; each polynomial maps exponent tuples (one slot per
+    generator) to rational coefficients and must be homogeneous, and the
+    powers times the degrees must add up to the ambient rank.  A single
+    polynomial P is passed as ``[(P, 1)]``.  Evaluation sums, over maximal
+    cones, the product of the factors at the cone's dual-basis coordinates
+    of a generic rational point, divided by the product of those coordinates
+    times the cone volume.  The volumes and the wall check are the fan's own
+    cached ones.  Generic points are drawn from seeded generators, one per
+    attempt; two different points must agree exactly, that constancy is
+    asserted, and pole hits retry with the next point.
     """
-    generators = [tuple(g) for g in fan_like.generators]
-    max_cones = [tuple(c) for c in fan_like.max_cones]
-    if not polynomial:
+    if any(not poly for poly, _ in factors):
         return Fraction(0)
-    rank = len(generators[0])
-    degrees = {sum(exps) for exps in polynomial}
-    if degrees != {rank}:
-        raise GeometryError(
-            f"expected a homogeneous degree-{rank} polynomial, got degrees {sorted(degrees)}"
-        )
-    if not allow_incomplete:
-        census = _wall_census(max_cones)
-        if any(len(owners) != 2 for owners in census.values()):
+    rank = fan.rank
+    degree = 0
+    for poly, power in factors:
+        degrees = {sum(exps) for exps in poly}
+        if len(degrees) != 1:
             raise GeometryError(
-                "fan is not complete; pass allow_incomplete=True only for "
-                "classes vanishing on the boundary"
+                f"class factor is not homogeneous: degrees {sorted(degrees)}"
             )
-
-    mats = {}
-    vols = {}
-    for cone in max_cones:
-        mat = [[generators[i][k] for i in cone] for k in range(rank)]
-        det = det_int(mat)
-        if det == 0:
-            raise GeometryError(f"maximal cone {cone} is degenerate")
-        vols[cone] = abs(det)
-        mats[cone] = mat
+        degree += power * degrees.pop()
+    if degree != rank:
+        raise GeometryError(f"class has degree {degree}, expected {rank}")
+    if not allow_incomplete and not fan.is_complete:
+        raise GeometryError(
+            "fan is not complete; pass allow_incomplete=True only for "
+            "classes vanishing on the boundary"
+        )
+    fan.interior_walls  # cached: raises on a wall not shared by two cones
+    vols = fan.volumes  # cached: raises on a degenerate cone
+    mats = {
+        cone: [[fan.generators[i][k] for i in cone] for k in range(rank)]
+        for cone in fan.max_cones
+    }
 
     values = []
     attempt = 0
@@ -259,17 +256,19 @@ def evaluate_top_class(fan_like, polynomial, allow_incomplete=False):
         attempt += 1
         total = Fraction(0)
         hit_pole = False
-        for cone in max_cones:
+        for cone in fan.max_cones:
             coords = solve_rational(mats[cone], point)
             if any(c == 0 for c in coords):
                 hit_pole = True
                 break
-            vals = [Fraction(0)] * len(generators)
-            denom = Fraction(1, vols[cone])
+            vals = [Fraction(0)] * len(fan.generators)
+            term = Fraction(1, vols[cone])
             for i, c in zip(cone, coords):
                 vals[i] = c
-                denom /= c
-            total += poly_eval(polynomial, vals) * denom
+                term /= c
+            for poly, power in factors:
+                term *= poly_eval(poly, vals) ** power
+            total += term
         if hit_pole:
             log.debug("generic point %d hit a pole; retrying", attempt - 1)
             continue

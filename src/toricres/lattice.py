@@ -50,10 +50,6 @@ def vec_neg(u):
     return tuple(-a for a in u)
 
 
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
-
-
 def primitive_vector(v):
     """Divide an integer vector by the gcd of its entries."""
     g = 0
@@ -479,33 +475,3 @@ class LatticePolytope:
     def is_reflexive(self):
         """True when every facet inequality is dot(w, x) >= -1 with primitive w."""
         return all(c == -1 for _, c in self.facets)
-
-
-class PointedCone:
-    """A full-dimensional pointed rational cone with primitive generators."""
-
-    def __init__(self, generators):
-        self.generators = tuple(primitive_vector(g) for g in generators)
-        self.dim = len(self.generators[0])
-        self.facet_normals = tuple(cone_facet_normals(self.generators))
-
-    def contains(self, point):
-        return all(dot(w, point) >= 0 for w in self.facet_normals)
-
-    def interior_contains(self, point):
-        return all(dot(w, point) > 0 for w in self.facet_normals)
-
-
-def is_interior(point, cone):
-    """True when ``point`` lies strictly inside ``cone`` (a PointedCone)."""
-    return cone.interior_contains(point)
-
-
-def is_reflexive(polytope):
-    """True when ``polytope`` (a LatticePolytope) is reflexive."""
-    return polytope.is_reflexive()
-
-
-def lattice_points(polytope):
-    """Lattice points of a LatticePolytope, lexicographically ordered."""
-    return list(polytope.lattice_points)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fan import Triangulation, Fan, enumerate_effective, find_lifting, \
-    validate_triangulation, verify_coherence
+    verify_coherence
 from .jk import JKEngine, evaluate_top_class
 from .lattice import (
     GeometryError,
@@ -142,48 +142,45 @@ def _product(values):
 
 
 def mp_class(pushout, P, parts=None):
-    """The top-degree class P * Phi_beta on a pushout fan, as a polynomial.
+    """The top-degree class P * Phi_beta on a pushout fan, as factors.
 
-    ``P`` is a polynomial in the base variables (moved to the copy-0 slots).
-    Phi multiplies x_{i,0}^(beta_i^-) and, when ``parts`` lists a partition of
-    base indices, the factor (-sum_{i in E_j} x_{i,0})^(k_j) per part with
-    k_j the beta-total of the part (which must be nonnegative).
+    Returns (polynomial, power) pairs for :func:`evaluate_top_class`, never
+    their expanded product.  ``P`` is a polynomial in the base variables,
+    moved to the copy-0 slots (power 1).  Phi contributes the monomial
+    prod x_{i,0}^(beta_i^-) (power 1) and, when ``parts`` lists a partition
+    of base indices, the linear form -sum_{i in E_j} x_{i,0} to the power
+    k_j per part, with k_j the beta-total of the part (which must be
+    nonnegative).
     """
     width = len(pushout.slots)
     phi_exps = [0] * width
     for i, b in enumerate(pushout.beta):
         if b < 0:
             phi_exps[pushout.slot_index[(i, 0)]] = -b
-    result = {}
+    embedded = {}
     for exps, coeff in P.items():
         key = pushout.embed(exps)
-        result[key] = result.get(key, Fraction(0)) + Fraction(coeff)
-    result = poly_mul(result, monomial(phi_exps))
-    if parts is not None:
-        for part in parts:
-            k = sum(pushout.beta[i] for i in part)
-            if k < 0:
-                raise GeometryError(
-                    f"part {tuple(part)} has negative class total {k}; "
-                    "the moving factor is undefined"
-                )
-            linear = {}
-            for i in part:
-                key = [0] * width
-                key[pushout.slot_index[(i, 0)]] = 1
-                linear[tuple(key)] = Fraction(-1)
-            result = poly_mul(result, poly_pow(linear, k))
-    degrees = {sum(e) for e in result}
-    if result and degrees != {pushout.fan.rank}:
-        raise GeometryError(
-            f"class has degrees {sorted(degrees)}, expected {pushout.fan.rank}"
-        )
-    return result
+        embedded[key] = embedded.get(key, Fraction(0)) + Fraction(coeff)
+    factors = [(embedded, 1), (monomial(phi_exps), 1)]
+    for part in parts or ():
+        k = sum(pushout.beta[i] for i in part)
+        if k < 0:
+            raise GeometryError(
+                f"part {tuple(part)} has negative class total {k}; "
+                "the moving factor is undefined"
+            )
+        linear = {}
+        for i in part:
+            key = [0] * width
+            key[pushout.slot_index[(i, 0)]] = 1
+            linear[tuple(key)] = Fraction(-1)
+        factors.append((linear, k))
+    return factors
 
 
-def mp_evaluate(pushout, class_poly):
-    """Intersection number of a top-degree class on the pushout fan."""
-    return evaluate_top_class(pushout.fan, class_poly)
+def mp_evaluate(pushout, class_factors):
+    """Intersection number of a factored top-degree class on the pushout fan."""
+    return evaluate_top_class(pushout.fan, class_factors)
 
 
 @dataclass(frozen=True)
@@ -231,7 +228,9 @@ class CayleyData:
     Exposes the base (bar) side -- the complete fan over the boundary points
     -- and the Cayley side: generators (v_i, e_j) for point i in part j plus
     one apex (0, e_j) per part, with the induced coherent triangulation of
-    the Cayley cone.  Attributes:
+    the Cayley cone.  ``tri`` must be validated and carry the lifting that
+    certifies its coherence; the constructor trusts both and checks only
+    the induced Cayley triangulation.  Attributes:
 
     polytope, points, origin_index, triangulation, lifting_bar : base data
     parts_points : partition by point index (input form)
@@ -292,14 +291,12 @@ class CayleyData:
                 part_of_bar[b] = j
         part_of_bar = tuple(part_of_bar)
 
-        if tri.lifting is not None:
-            lifting_bar = tri.lifting
-        else:
-            lifting_bar = find_lifting(tri)
-            if lifting_bar is None:
-                raise GeometryError("the star triangulation is not coherent")
-        if not verify_coherence(tri, lifting_bar):
-            raise GeometryError("the lifting does not certify the triangulation")
+        lifting_bar = tri.lifting
+        if lifting_bar is None:
+            raise GeometryError(
+                "the Cayley construction needs the lifting that certifies "
+                "the star triangulation"
+            )
 
         bar_cones = tuple(
             tuple(sorted(bar_of_point[p] for p in s if p != origin_index))
@@ -435,17 +432,6 @@ def _in_hull(vertices, point):
     return feasible_point(constraints, nvars) is not None
 
 
-def build_cayley(tri, parts_points, polytope=None):
-    """Validate and assemble the Cayley data for a triangulated polytope.
-
-    ``tri`` is a coherent star triangulation of a reflexive polytope using
-    all lattice points in lexicographic order; ``parts_points`` partitions
-    the non-origin point indices.
-    """
-    poly = validate_triangulation(tri, polytope)
-    return CayleyData(poly, tri, parts_points)
-
-
 # --- class dictionary -------------------------------------------------------
 
 def part_degrees(cayley, beta_bar):
@@ -463,19 +449,6 @@ def beta_lift(cayley, beta_bar):
     if not cayley.fan.is_relation(full):
         raise InvariantError(f"lift {full} is not a relation of the Cayley fan")
     return full
-
-
-def beta_restrict(cayley, beta_full):
-    """Inverse of beta_lift; errors if the apex entries are inconsistent."""
-    beta_full = tuple(int(b) for b in beta_full)
-    if not cayley.fan.is_relation(beta_full):
-        raise GeometryError(f"{beta_full} is not a relation of the Cayley fan")
-    beta_bar = beta_full[:cayley.apex_offset]
-    if beta_lift(cayley, beta_bar) != beta_full:
-        raise GeometryError(
-            f"{beta_full} does not match the apex entries forced by its base part"
-        )
-    return beta_bar
 
 
 # --- series on the base fan -------------------------------------------------
@@ -597,9 +570,10 @@ def evaluation_value_pair(cayley, P):
     because the class vanishes on the support boundary.
     """
     P = _validated_bar_poly(cayley, P)
-    base = evaluate_top_class(cayley.bar_fan, P)
+    base = evaluate_top_class(cayley.bar_fan, [(P, 1)])
     lifted = {}
     for exps, coeff in P.items():
         lifted[tuple(exps) + (1,) * cayley.r] = coeff
-    cayley_side = evaluate_top_class(cayley.fan, lifted, allow_incomplete=True)
+    cayley_side = evaluate_top_class(cayley.fan, [(lifted, 1)],
+                                     allow_incomplete=True)
     return base, cayley_side

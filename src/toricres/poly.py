@@ -74,10 +74,6 @@ def poly_pow(p, n):
     return result
 
 
-def poly_degree_set(p):
-    return {sum(exps) for exps in p}
-
-
 def poly_eval(p, values):
     """Evaluate at a list of Fractions (one per variable slot)."""
     total = Fraction(0)

@@ -11,7 +11,13 @@ coherence certificate, so its Mori cone is pointed and its degree functional
 * ``star_fans``: star triangulations of the reflexive polygons in the
   square [-1, 1]^2 (their Mori cones have more walls than rank);
 * ``bundled_fans``: the working fans of the bundled problems and the base
-  fans of their Cayley data.
+  fans of their Cayley data;
+* ``cayley_data``: the Cayley data of the bundled problems and of the
+  reflexive polygons, split into one or two nef parts.
+
+``build_cayley`` is the Cayley constructor behind the checks that the
+problem stages run before it: structural validation of the triangulation
+and the coherence certificate of its lifting.
 
 ``max_rho`` caps the rank of the relation lattice (number of points minus
 dimension minus one), which keeps exact Fourier-Motzkin references cheap.
@@ -26,6 +32,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from toricres import (
+    CayleyData,
     GeometryError,
     LatticePolytope,
     Triangulation,
@@ -33,6 +40,8 @@ from toricres import (
     build_fan,
     find_lifting,
     load_problem,
+    validate_triangulation,
+    verify_coherence,
 )
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -121,10 +130,15 @@ def star_fans(max_rho=3):
     )
 
 
+@cache
+def bundled_contexts():
+    return tuple(build_context(load_problem(PROBLEM_DIR / f"{name}.json"))
+                 for name in BUNDLED)
+
+
 def bundled_fans():
     fans = []
-    for name in BUNDLED:
-        pc = build_context(load_problem(PROBLEM_DIR / f"{name}.json"))
+    for pc in bundled_contexts():
         fans.append(pc.fan)
         if pc.cayley is not None:
             fans.append(pc.cayley.bar_fan)
@@ -134,3 +148,40 @@ def bundled_fans():
 def fans(max_rho=3):
     return st.one_of(bundled_fans(), segment_fans(max_rho),
                      strip_fans(max_rho), star_fans(max_rho))
+
+
+def build_cayley(tri, parts_points):
+    """Validate a triangulation and its lifting, then assemble its Cayley
+    data, as the triangulation, coherence and nef-partition stages do."""
+    poly = validate_triangulation(tri)
+    if not verify_coherence(tri):
+        raise GeometryError("the lifting does not certify the triangulation")
+    return CayleyData(poly, tri, parts_points)
+
+
+@cache
+def star_cayley(points, part_of):
+    """Cayley data of a reflexive polygon's star triangulation, the boundary
+    points split into parts by ``part_of``; one part when that split is not
+    a nef partition."""
+    simplices = star_triangulation(list(points))
+    lifting = find_lifting(Triangulation(points, simplices))
+    tri = Triangulation(points, simplices, lifting=lifting)
+    boundary = [k for k, p in enumerate(points) if p != (0, 0)]
+    parts = [[k for k, j in zip(boundary, part_of) if j == part]
+             for part in (0, 1)]
+    try:
+        return build_cayley(tri, [part for part in parts if part])
+    except GeometryError:
+        return build_cayley(tri, [boundary])
+
+
+@st.composite
+def cayley_data(draw, max_rho=3):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(
+            [pc.cayley for pc in bundled_contexts() if pc.cayley is not None]
+        ))
+    points = draw(st.sampled_from(reflexive_squares(max_rho)))
+    part_of = draw(st.tuples(*[st.integers(0, 1)] * (len(points) - 1)))
+    return star_cayley(points, part_of)

@@ -6,7 +6,9 @@ import sys
 import pytest
 
 import toricres.fan
+from toricres import build_context, load_problem
 from toricres.cli import main
+from toricres.mpcayley import cayley_rm_coefficient
 
 from conftest import FIXTURE_NAMES, problem_path
 
@@ -193,6 +195,44 @@ def test_series_output_is_deterministic(capsys):
     first = run(capsys, "series", str(problem_path("p2")))
     second = run(capsys, "series", str(problem_path("p2")))
     assert first == second and first[0] == 0
+
+
+P4_TWO_PARTS = {
+    "name": "p4_23",
+    "dimension": 4,
+    "vertices": [[-1, -1, -1, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                 [0, 0, 0, 1]],
+    "simplices": [[1, 0, 2, 3, 4], [1, 0, 2, 3, 5], [1, 0, 2, 4, 5],
+                  [1, 0, 3, 4, 5], [1, 2, 3, 4, 5]],
+    "lifting": [1, 0, 1, 1, 1, 1],
+    "nef_partition": [[0, 5], [2, 3, 4]],
+    "bound": 15,
+    "polynomial": [[1, [1, 0, 1, 1, 1, 0]]],
+}
+
+
+def test_series_on_a_rank_19_pushout(capsys, tmp_path):
+    # P4 with the nef parts {-e1-e2-e3-e4, e1} and {e2, e3, e4}: the class
+    # (3,3,3,3,3) has a pushout fan of rank 19 with 20 cones
+    path = write_problem(tmp_path, P4_TWO_PARTS)
+    code, out, err = run(capsys, "series", path, "--format", "report")
+    assert code == 0 and err == ""
+    values = {tuple(e["class"]): e["value"] for e in json.loads(out)["entries"]}
+    assert values[(3, 3, 3, 3, 3)] == "-1259712"
+    pc = build_context(load_problem(path))
+    residue_route = cayley_rm_coefficient(pc.residue, pc.cayley,
+                                          pc.polynomial, (3, 3, 3, 3, 3))
+    assert residue_route == -1259712
+
+
+@pytest.mark.parametrize("name", ["p2", "square_r2"])
+def test_series_certifies_the_base_lifting_once(capsys, monkeypatch, name):
+    # the coherence stage certifies the base triangulation, and the Cayley
+    # data checks only its induced triangulation
+    checks = counting_everywhere(monkeypatch, "verify_coherence")
+    code, out, err = run(capsys, "series", str(problem_path(name)))
+    assert code == 0 and err == ""
+    assert len(checks) == 2
 
 
 def test_series_rejects_malformed_v0_flag(capsys):

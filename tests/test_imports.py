@@ -1,9 +1,11 @@
-"""Every import in the package sits at module level and is used.
+"""Every import in the package sits at module level, is used, and is public.
 
 A plain AST scan, so the check needs no linter: no ``import`` or ``from ...
-import`` may appear inside a function or class body, and a name bound by a
-top-level import must be read somewhere in the module.  ``__init__.py`` is
-skipped by the unused-name check, since re-exporting is its job.
+import`` may appear inside a function or class body, a name bound by a
+top-level import must be read somewhere in the module, and no module may
+import a private (underscore) name from another module of the package.
+``__init__.py`` is skipped by the unused-name check, since re-exporting is
+its job.
 """
 
 import ast
@@ -66,3 +68,27 @@ def test_scan_finds_a_nested_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_imports_only_at_top_level(path):
     assert nested_imports(path.read_text()) == []
+
+
+def private_imports(source):
+    """Underscore names imported from a module of the package."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "toricres"):
+            names.extend(alias.name for alias in node.names
+                         if alias.name.startswith("_"))
+    return sorted(names)
+
+
+def test_scan_finds_a_private_import():
+    source = ("from __future__ import annotations\n"
+              "from os import _exit\n"
+              "from .fan import Fan, _wall_census\n"
+              "def f():\n    from toricres.jk import _generic_point\n")
+    assert private_imports(source) == ["_generic_point", "_wall_census"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_no_private_names(path):
+    assert private_imports(path.read_text()) == []

@@ -166,24 +166,44 @@ def test_projective_plane_top_class(p2):
     # and <H^2> = 1
     bar = p2.cayley.bar_fan
     for exps in ((1, 1, 0), (1, 0, 1), (2, 0, 0)):
-        assert evaluate_top_class(bar, monomial(exps)) == 1
+        assert evaluate_top_class(bar, [(monomial(exps), 1)]) == 1
 
 
 def test_product_of_lines_top_classes(square):
     # base fan of the diamond is P1 x P1: <H1 H2> = 1 while <H1^2> = 0
     bar = square.cayley.bar_fan
-    assert evaluate_top_class(bar, monomial((1, 1, 0, 0))) == 1
-    assert evaluate_top_class(bar, monomial((1, 0, 0, 1))) == 0
-    assert evaluate_top_class(bar, monomial((0, 1, 1, 0))) == 0
+    assert evaluate_top_class(bar, [(monomial((1, 1, 0, 0)), 1)]) == 1
+    assert evaluate_top_class(bar, [(monomial((1, 0, 0, 1)), 1)]) == 0
+    assert evaluate_top_class(bar, [(monomial((0, 1, 1, 0)), 1)]) == 0
     mixed = poly_add(monomial((1, 1, 0, 0), 5), monomial((1, 0, 0, 1), 7))
-    assert evaluate_top_class(bar, mixed) == 5
+    assert evaluate_top_class(bar, [(mixed, 1)]) == 5
 
 
 def test_evaluate_top_class_rejects_incomplete_fans(p1):
     pushforward_fan = p1.fan  # fan over a polytope: not complete
     with pytest.raises(GeometryError):
-        evaluate_top_class(pushforward_fan, monomial((1, 1, 0)))
+        evaluate_top_class(pushforward_fan, [(monomial((1, 1, 0)), 1)])
     # the boundary-missing evaluation is available on request; a monomial
     # carrying the apex variable agrees with <x1> = 1 on the P1 base fan
-    assert evaluate_top_class(pushforward_fan, monomial((1, 0, 1)), allow_incomplete=True) == 1
-    assert evaluate_top_class(pushforward_fan, monomial((0, 1, 1)), allow_incomplete=True) == 1
+    for exps in ((1, 0, 1), (0, 1, 1)):
+        assert evaluate_top_class(pushforward_fan, [(monomial(exps), 1)],
+                                  allow_incomplete=True) == 1
+
+
+def test_evaluate_top_class_multiplies_factors(square):
+    # on P1 x P1, x1 and x4 are the class H1 and x2 is H2: <H1 H2> = 1,
+    # <(2 H1)^2> = 0 and <(H1 + H2)^2> = 2
+    bar = square.cayley.bar_fan
+    x1, x2, x4 = (monomial(e) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)))
+    assert evaluate_top_class(bar, [(x1, 1), (x2, 1)]) == 1
+    assert evaluate_top_class(bar, [(poly_add(x1, x4), 2)]) == 0
+    assert evaluate_top_class(bar, [(poly_add(x1, x2), 2)]) == 2
+
+
+def test_evaluate_top_class_rejects_bad_degrees(square):
+    bar = square.cayley.bar_fan
+    x1, x2 = monomial((1, 0, 0, 0)), monomial((0, 1, 0, 0))
+    with pytest.raises(GeometryError, match="not homogeneous"):
+        evaluate_top_class(bar, [(poly_add(x1, monomial((1, 1, 0, 0))), 1)])
+    with pytest.raises(GeometryError, match="degree 3, expected 2"):
+        evaluate_top_class(bar, [(x1, 1), (x2, 2)])

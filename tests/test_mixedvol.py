@@ -15,7 +15,6 @@ import pytest
 from toricres import (
     GeometryError,
     Triangulation,
-    build_cayley,
     graded_hessian_component,
     hessian,
     load_problem,
@@ -24,6 +23,8 @@ from toricres import (
     mixed_volume_table,
     verify_mixed_volume_theorem,
 )
+
+from strategies import build_cayley
 
 
 @pytest.fixture(scope="module")

@@ -5,22 +5,26 @@ the fan of P^5 (six rays summing to zero, every five of them a cone), where the
 expected pairing is a pure hyperplane-class power computed by hand.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricres import (
+    CayleyData,
     GeometryError,
+    LatticePolytope,
     Triangulation,
-    build_cayley,
     build_context,
     beta_lift,
-    beta_restrict,
     cayley_rm_coefficient,
     ci_series,
     ci_series_coefficient,
     crosscheck_coefficient,
     enumerate_effective,
+    evaluate_top_class,
     evaluation_value_pair,
     interior_polynomial,
     load_problem,
@@ -29,8 +33,12 @@ from toricres import (
     mp_evaluate,
     mp_fan,
     part_degrees,
+    poly_from_terms,
     substitution_value_pair,
 )
+
+from brion_reference import reference_mp_class
+from strategies import build_cayley, cayley_data
 
 ONE = Fraction(1)
 
@@ -69,6 +77,14 @@ def test_cayley_rejects_bad_partitions():
         build_cayley(tri, [[0]])
     with pytest.raises(GeometryError, match="overlaps"):
         build_cayley(tri, [[0], [0, 2]])
+
+
+def test_cayley_requires_a_certified_lifting():
+    # the coherence stage supplies the lifting; the constructor does not
+    # search for one
+    tri = Triangulation(((-1,), (0,), (1,)), ((0, 1), (1, 2)))
+    with pytest.raises(GeometryError, match="lifting"):
+        CayleyData(LatticePolytope(tri.points), tri, [[0, 2]])
 
 
 def test_cayley_requires_reflexive():
@@ -112,7 +128,6 @@ def test_beta_lift_restrict_round_trip(square):
     for beta_bar in enumerate_effective(cay.bar_fan, 6):
         lifted = beta_lift(cay, beta_bar)
         assert cay.fan.is_relation(lifted)
-        assert beta_restrict(cay, lifted) == beta_bar
         ks = part_degrees(cay, beta_bar)
         assert lifted[cay.apex_offset:] == tuple(-k for k in ks)
 
@@ -181,6 +196,28 @@ def test_mp_class_rejects_negative_part_degree(square):
     push = mp_fan(cay.bar_fan, (-1, 0, 0, -1))
     with pytest.raises(GeometryError, match="negative class total"):
         mp_class(push, monomial((1, 0, 1, 0)), parts=cay.parts)
+
+
+def degree_polynomials(cay):
+    """Random polynomials of degree dim_bar over the base variables."""
+    monomials = [e for e in itertools.product(range(cay.dim_bar + 1),
+                                              repeat=cay.apex_offset)
+                 if sum(e) == cay.dim_bar]
+    terms = st.tuples(st.integers(-3, 3), st.sampled_from(monomials))
+    return st.lists(terms, min_size=1, max_size=3).map(poly_from_terms)
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_factored_class_matches_its_expansion(data):
+    cay = data.draw(cayley_data())
+    P = data.draw(degree_polynomials(cay))
+    bound = data.draw(st.integers(0, 3))
+    for beta in enumerate_effective(cay.bar_fan, bound):
+        push = mp_fan(cay.bar_fan, beta)
+        expanded = reference_mp_class(push, P, parts=cay.parts)
+        factored = mp_evaluate(push, mp_class(push, P, parts=cay.parts))
+        assert factored == evaluate_top_class(push.fan, [(expanded, 1)])
 
 
 # ---------------------------------------------------------------------------

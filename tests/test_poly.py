@@ -14,7 +14,6 @@ from toricres import (
     poly_pow,
     poly_scale,
 )
-from toricres.poly import poly_degree_set
 
 coeffs = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -53,12 +52,6 @@ def test_binomial_square_by_hand():
         (1, 1): Fraction(2),
         (0, 2): Fraction(1, 4),
     }
-
-
-def test_degree_set_tracks_total_degree():
-    p = poly_add(monomial((2, 0)), monomial((1, 1)))
-    assert poly_degree_set(p) == {2}
-    assert poly_degree_set(poly_add(p, monomial((0, 0)))) == {0, 2}
 
 
 @given(polys, polys, points)
