@@ -23,6 +23,7 @@ from .lattice import (
     GeometryError,
     InvariantError,
     LatticePolytope,
+    adjugate,
     cone_facet_normals,
     cone_volume,
     det_int,
@@ -32,7 +33,6 @@ from .lattice import (
     matrix_rank,
     primitive_vector,
     relations_among,
-    solve_integral,
     solve_rational,
     vec_neg,
     vec_sub,
@@ -285,19 +285,38 @@ class Fan:
         return sum(self.volumes.values())
 
     @cached_property
+    def cone_adjugates(self):
+        """Per maximal cone: (det, integer adjugate, adj @ v_i off the cone)."""
+        return _cone_adjugates(self)
+
+    @cached_property
     def relation_basis(self):
         """Canonical basis of the lattice of relations among the generators."""
         return tuple(relations_among(self.generators))
 
     def relation_coords(self, beta):
-        """Coordinates of a relation vector in the canonical kernel basis."""
+        """Coordinates of a relation vector in the canonical kernel basis.
+
+        The basis is in Hermite normal form: its rows have their pivots in
+        increasing columns, and every later row is zero in an earlier row's
+        pivot column.  So the coordinates follow one by one from the pivot
+        entries of ``beta``, with no elimination.
+        """
         basis = self.relation_basis
         if not basis:
             raise GeometryError("the relation lattice is trivial")
-        mat = [[row[j] for row in basis] for j in range(len(beta))]
-        coords = solve_integral(mat, list(beta))
-        if coords is None:
+        if not self.is_relation(beta):
             raise GeometryError(f"{beta} is not a relation among the generators")
+        coords = []
+        for row in basis:
+            pivot = next(j for j, x in enumerate(row) if x)
+            rest = beta[pivot] - sum(
+                y * prev[pivot] for y, prev in zip(coords, basis)
+            )
+            y, remainder = divmod(rest, row[pivot])
+            if remainder:
+                raise GeometryError("solution exists but is not integral")
+            coords.append(y)
         return tuple(coords)
 
     def is_relation(self, beta):
@@ -375,6 +394,27 @@ class Fan:
         return tuple(sorted(rels))
 
 
+def _cone_adjugates(fan):
+    """Integer inverse data of every maximal cone, in ``max_cones`` order.
+
+    For a cone sigma with generator matrix M (columns v_i, i in sigma, in
+    index order) the entry is (D, adj, outside): D = det M with its sign,
+    adj the integer adjugate (adj @ M = D * identity), and ``outside``
+    maps every generator index i not in sigma to adj @ v_i.  The pushout
+    Brion sum reads the coordinates of every pushout cone from these.
+    """
+    out = []
+    for cone in fan.max_cones:
+        mat = [[fan.generators[i][k] for i in cone] for k in range(fan.rank)]
+        det, adj = adjugate(mat)
+        outside = {
+            i: tuple(dot(row, v) for row in adj)
+            for i, v in enumerate(fan.generators) if i not in cone
+        }
+        out.append((det, tuple(map(tuple, adj)), outside))
+    return tuple(out)
+
+
 def build_fan(tri, polytope=None, validate=True):
     """Fan over the cone of a triangulated polytope, generators at height one.
 
@@ -423,6 +463,11 @@ class CompletedFan:
     @cached_property
     def relation_basis(self):
         return tuple(relations_among(self.generators))
+
+    @cached_property
+    def cone_adjugates(self):
+        """Per maximal cone: (det, integer adjugate, adj @ v_i off the cone)."""
+        return _cone_adjugates(self)
 
     def check_complete(self):
         census = _wall_census(self.max_cones)

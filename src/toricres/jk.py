@@ -13,8 +13,11 @@ so tests can assert exactly that.
 Brion evaluation (``evaluate_top_class``) is the independent route: it sums
 a top-degree class, given as a product of (polynomial, power) factors, over
 the maximal cones of a ``Fan`` at the dual-basis coordinates of a generic
-point, using the cone volumes and the wall check the fan has cached.  The
-generic points come from seeded generators, one per attempt.
+point, solving for each cone's coordinates and using the cone volumes and
+the wall check the fan has cached.  It is also the reference for the
+structured pushout sum ``mpcayley.mp_evaluate``, which shares its degree
+check (``zero_top_class``), its seeded points (``generic_point``, one per
+attempt) and its pole retries and constancy check (``brion_constant``).
 """
 
 from __future__ import annotations
@@ -202,31 +205,28 @@ def jk_residue(engine, exponents, tie_break=None):
 MAX_POINT_ATTEMPTS = 100
 
 
-def _generic_point(attempt, rank):
+def generic_point(attempt, rank):
+    """The generic point of a Brion sum's ``attempt``-th try (from 0 on).
+
+    Coordinates are drawn in [1, 10^4) from ``random.Random(attempt)``, so
+    every Brion sum in the package sees the same points in the same order.
+    """
     if attempt >= MAX_POINT_ATTEMPTS:
         raise InvariantError("ran out of generic evaluation points")
     rng = random.Random(attempt)
     return [rng.randrange(1, 10**4) for _ in range(rank)]
 
 
-def evaluate_top_class(fan, factors, allow_incomplete=False):
-    """Evaluate a top-degree product of polynomials in the generator classes.
+def zero_top_class(factors, rank):
+    """Whether a factored class is zero; otherwise check that it is top-degree.
 
-    ``fan`` is a :class:`~toricres.fan.Fan`.  ``factors`` lists (polynomial,
-    power) pairs; each polynomial maps exponent tuples (one slot per
-    generator) to rational coefficients and must be homogeneous, and the
-    powers times the degrees must add up to the ambient rank.  A single
-    polynomial P is passed as ``[(P, 1)]``.  Evaluation sums, over maximal
-    cones, the product of the factors at the cone's dual-basis coordinates
-    of a generic rational point, divided by the product of those coordinates
-    times the cone volume.  The volumes and the wall check are the fan's own
-    cached ones.  Generic points are drawn from seeded generators, one per
-    attempt; two different points must agree exactly, that constancy is
-    asserted, and pole hits retry with the next point.
+    ``factors`` lists (polynomial, power) pairs.  A class with an empty
+    (zero) factor is zero, whatever the other factors are.  Otherwise each
+    polynomial must be homogeneous and the powers times the degrees must add
+    up to ``rank``; GeometryError if not.
     """
     if any(not poly for poly, _ in factors):
-        return Fraction(0)
-    rank = fan.rank
+        return True
     degree = 0
     for poly, power in factors:
         degrees = {sum(exps) for exps in poly}
@@ -237,6 +237,52 @@ def evaluate_top_class(fan, factors, allow_incomplete=False):
         degree += power * degrees.pop()
     if degree != rank:
         raise GeometryError(f"class has degree {degree}, expected {rank}")
+    return False
+
+
+def brion_constant(rank, brion_sum):
+    """The value of a Brion sum, which must not depend on the generic point.
+
+    ``brion_sum(point)`` sums over the maximal cones at one point of
+    :func:`generic_point`, or returns None when the point hits a pole (a
+    cone coordinate equal to zero); the next point is then tried.  The sums
+    at two points must agree exactly, and that constancy is asserted.
+    """
+    values = []
+    attempt = 0
+    while len(values) < 2:
+        total = brion_sum(generic_point(attempt, rank))
+        attempt += 1
+        if total is None:
+            log.debug("generic point %d hit a pole; retrying", attempt - 1)
+            continue
+        values.append(total)
+    if values[0] != values[1]:
+        raise InvariantError(
+            "Brion sum is not constant across generic points; the class is "
+            f"not in the boundary-vanishing algebra ({values[0]} vs {values[1]})"
+        )
+    return values[0]
+
+
+def evaluate_top_class(fan, factors, allow_incomplete=False):
+    """Evaluate a top-degree product of polynomials in the generator classes.
+
+    ``fan`` is a :class:`~toricres.fan.Fan`.  ``factors`` lists (polynomial,
+    power) pairs; each polynomial maps exponent tuples (one slot per
+    generator) to rational coefficients and must be homogeneous, and the
+    powers times the degrees must add up to the ambient rank
+    (:func:`zero_top_class`).  A single polynomial P is passed as
+    ``[(P, 1)]``.  Evaluation sums, over maximal cones, the product of the
+    factors at the cone's dual-basis coordinates of a generic rational
+    point, divided by the product of those coordinates times the cone
+    volume; every cone's coordinates come from its own exact solve.  The
+    volumes and the wall check are the fan's own cached ones.  Points,
+    pole retries and the constancy check are :func:`brion_constant`'s.
+    """
+    rank = fan.rank
+    if zero_top_class(factors, rank):
+        return Fraction(0)
     if not allow_incomplete and not fan.is_complete:
         raise GeometryError(
             "fan is not complete; pass allow_incomplete=True only for "
@@ -249,18 +295,12 @@ def evaluate_top_class(fan, factors, allow_incomplete=False):
         for cone in fan.max_cones
     }
 
-    values = []
-    attempt = 0
-    while len(values) < 2:
-        point = _generic_point(attempt, rank)
-        attempt += 1
+    def brion_sum(point):
         total = Fraction(0)
-        hit_pole = False
         for cone in fan.max_cones:
             coords = solve_rational(mats[cone], point)
             if any(c == 0 for c in coords):
-                hit_pole = True
-                break
+                return None
             vals = [Fraction(0)] * len(fan.generators)
             term = Fraction(1, vols[cone])
             for i, c in zip(cone, coords):
@@ -269,13 +309,6 @@ def evaluate_top_class(fan, factors, allow_incomplete=False):
             for poly, power in factors:
                 term *= poly_eval(poly, vals) ** power
             total += term
-        if hit_pole:
-            log.debug("generic point %d hit a pole; retrying", attempt - 1)
-            continue
-        values.append(total)
-    if values[0] != values[1]:
-        raise InvariantError(
-            "Brion sum is not constant across generic points; the class is "
-            f"not in the boundary-vanishing algebra ({values[0]} vs {values[1]})"
-        )
-    return values[0]
+        return total
+
+    return brion_constant(rank, brion_sum)

@@ -204,12 +204,21 @@ def _solve(matrix, columns, ncols):
         return None
     if rank < ncols:
         raise GeometryError("linear system does not have a unique solution")
-    # Back-substitution on the triangular block.  By Cramer's rule, last * x
-    # is an integer vector (last = the determinant of the pivot rows), so
-    # every division below is exact.
-    last = rows[rank - 1][rank - 1] if rank else 1
-    solutions = []
-    for b in range(ncols, ncols + len(columns)):
+    last, scaled = _back_substitute(rows, ncols, len(columns))
+    return [[Fraction(v, last) for v in y] for y in scaled]
+
+
+def _back_substitute(rows, ncols, count):
+    """(last, integer vectors last * x), one per carried right-hand side.
+
+    ``rows`` is the output of :func:`_eliminate` with ``ncols`` pivots, and
+    ``last`` its final pivot.  By Cramer's rule, last * x is an integer
+    vector (last = the determinant of the pivot rows), so every division
+    below is exact.
+    """
+    last = rows[ncols - 1][ncols - 1] if ncols else 1
+    out = []
+    for b in range(ncols, ncols + count):
         y = [0] * ncols
         for k in range(ncols - 1, -1, -1):
             row = rows[k]
@@ -217,8 +226,8 @@ def _solve(matrix, columns, ncols):
             for j in range(k + 1, ncols):
                 s -= row[j] * y[j]
             y[k] = s // row[k]
-        solutions.append([Fraction(v, last) for v in y])
-    return solutions
+        out.append(y)
+    return last, out
 
 
 def det_int(matrix):
@@ -231,6 +240,24 @@ def det_int(matrix):
     a = [[int(x) for x in row] for row in matrix]
     pivots, sign = _eliminate(a, n)
     return sign * a[n - 1][n - 1] if len(pivots) == n else 0
+
+
+def adjugate(matrix):
+    """Determinant and adjugate of a regular square integer matrix.
+
+    Returns (det, adj) with adj @ matrix = matrix @ adj = det * identity;
+    every entry of adj is an integer.  Raises GeometryError when the matrix
+    is singular.
+    """
+    n = len(matrix)
+    rows = [[int(x) for x in row] + [int(i == j) for j in range(n)]
+            for i, row in enumerate(matrix)]
+    pivots, sign = _eliminate(rows, n)
+    if len(pivots) < n:
+        raise GeometryError("matrix is singular")
+    # Column b of last * M^-1 solves M y = last * e_b, and det = sign * last.
+    last, columns = _back_substitute(rows, n, n)
+    return sign * last, [[sign * columns[b][r] for b in range(n)] for r in range(n)]
 
 
 def cone_volume(generators):

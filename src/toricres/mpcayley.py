@@ -4,6 +4,9 @@ Two constructions live here.  The pushout (moduli) fan attached to a complete
 fan and an effective class realizes each series coefficient as a single
 intersection number: every generator v_i is replicated beta_i^+ + 1 times in a
 larger lattice chosen so that the relations of the base embed diagonally.
+Its Brion sum (``mp_evaluate``) reads each pushout cone's coordinates from
+the cached adjugate of the base cone below it, with no solve per cone;
+``jk.evaluate_top_class``, which solves every cone, is its reference.
 The Cayley construction turns a reflexive polytope with a coherent star
 triangulation and a nef partition into the height-one data the residue
 machinery consumes: the Cayley cone, its induced triangulation and lifting,
@@ -15,10 +18,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .fan import Triangulation, Fan, enumerate_effective, find_lifting, \
     verify_coherence
-from .jk import JKEngine, evaluate_top_class
+from .jk import JKEngine, brion_constant, evaluate_top_class, zero_top_class
 from .lattice import (
     GeometryError,
     InvariantError,
@@ -41,6 +45,9 @@ class PushoutFan:
     ``slots`` lists the generator copies as (base index, copy number); copy 0
     carries the base generator in the enlarged lattice and copies 1..beta_i^+
     are fresh coordinate rays.  ``fan`` is a genuine complete simplicial fan.
+    ``cones_over`` holds, per maximal cone of ``base`` (in its order), the
+    pushout cones above it as (skips, cone) pairs: ``skips`` names the copy
+    dropped over each base generator outside the base cone, in index order.
     """
 
     fan: Fan
@@ -49,6 +56,8 @@ class PushoutFan:
     beta: tuple
     base_count: int
     extra: int
+    base: object          # the base fan
+    cones_over: tuple     # per base cone: ((skips, cone), ...)
 
     def embed(self, exps):
         """Exponents over the base generators, moved to the copy-0 slots."""
@@ -102,17 +111,21 @@ def mp_fan(base, beta):
             vectors.append((0,) * rank + tuple(tail))
 
     cones = []
+    cones_over = []
     for sigma in base.max_cones:
         inside = set(sigma)
         members = [slot_index[(i, j)] for (i, j) in slots if i in inside]
         outside = [i for i in range(count) if i not in inside]
+        above = []
         for choice in itertools.product(*(range(plus[i] + 1) for i in outside)):
             cone = list(members)
             for i, skip in zip(outside, choice):
                 cone.extend(
                     slot_index[(i, j)] for j in range(plus[i] + 1) if j != skip
                 )
-            cones.append(tuple(sorted(cone)))
+            above.append((choice, tuple(sorted(cone))))
+        cones.extend(cone for _, cone in above)
+        cones_over.append(tuple(above))
     expected = sum(
         _product(plus[i] + 1 for i in range(count) if i not in set(sigma))
         for sigma in base.max_cones
@@ -131,6 +144,8 @@ def mp_fan(base, beta):
         beta=beta,
         base_count=count,
         extra=extra,
+        base=base,
+        cones_over=tuple(cones_over),
     )
 
 
@@ -179,8 +194,103 @@ def mp_class(pushout, P, parts=None):
 
 
 def mp_evaluate(pushout, class_factors):
-    """Intersection number of a factored top-degree class on the pushout fan."""
-    return evaluate_top_class(pushout.fan, class_factors)
+    """Intersection number of a factored top-degree class on the pushout fan.
+
+    The Brion sum of :func:`~toricres.jk.evaluate_top_class`, over the same
+    cones at the same generic points, with the same degree check, pole
+    retries and constancy check; that function is its reference.  Only the
+    cone coordinates are found differently: none is solved for, each is
+    read off the pushout structure (:func:`_structured_sum`).  The fan's
+    cone count, simpliciality and walls were checked by :func:`mp_fan`.
+    """
+    fan = pushout.fan
+    if zero_top_class(class_factors, fan.rank):
+        return Fraction(0)
+    factors = []
+    scale = 1
+    for poly, power in class_factors:
+        denom = lcm(*(Fraction(c).denominator for c in poly.values()))
+        terms = tuple(
+            (int(Fraction(c) * denom),
+             tuple((slot, e) for slot, e in enumerate(exps) if e))
+            for exps, c in poly.items()
+        )
+        factors.append((terms, power))
+        scale *= denom ** power
+
+    def brion_sum(point):
+        total = _structured_sum(pushout, factors, point)
+        return None if total is None else total / scale
+
+    return brion_constant(fan.rank, brion_sum)
+
+
+def _structured_sum(pushout, factors, point):
+    """Brion sum of integer factors at one point, or None at a pole.
+
+    Over a base cone sigma with signed determinant D and adjugate adj, let
+    p_ij be the point's coordinate on the fresh ray of copy (i, j), j >= 1.
+    A pushout cone dropping copy s_i over each generator i outside sigma
+    has the coordinates c = C / D with
+      C_i0 = -D p_is for an outside i with s_i >= 1 (no slot when s_i = 0),
+      C_sigma = adj p_base + sum of p_is adj v_i over those i,
+      C_ij = D p_ij + C_i0 for every kept copy j >= 1 (C_i0 = 0 if dropped).
+    Every C is an integer.  D cancels from each term
+    prod f(c)^k / (vol prod c), because the factors are homogeneous with
+    degrees (times powers) adding up to the rank, which is also the number
+    of coordinates; so the term is prod f(C)^k / (vol prod C).
+    """
+    base = pushout.base
+    width = len(pushout.slots)
+    copy0 = [pushout.slot_index[(i, 0)] for i in range(pushout.base_count)]
+    fresh = [[] for _ in copy0]        # per base generator: fresh-ray slots
+    p = [0] * width                    # the point on the fresh-ray slots
+    k = base.rank
+    for slot, (i, j) in enumerate(pushout.slots):
+        if j:
+            fresh[i].append(slot)
+            p[slot] = point[k]
+            k += 1
+    p_base = point[:base.rank]
+    vols = pushout.fan.volumes
+    total = Fraction(0)
+    for sigma, (det, adj, adj_outside), above in zip(
+            base.max_cones, base.cone_adjugates, pushout.cones_over):
+        outside = sorted(adj_outside)
+        start = [sum(a * b for a, b in zip(row, p_base)) for row in adj]
+        dp = [det * x for x in p]
+        for skips, cone in above:
+            vals = [0] * width
+            coords = start
+            for i, s in zip(outside, skips):
+                if s:
+                    ps = p[fresh[i][s - 1]]
+                    vals[copy0[i]] = -det * ps
+                    coords = [c + ps * a for c, a in zip(coords, adj_outside[i])]
+            for i, c in zip(sigma, coords):
+                vals[copy0[i]] = c
+            skip_of = dict(zip(outside, skips))
+            for i, slots in enumerate(fresh):
+                c0 = vals[copy0[i]]
+                s = skip_of.get(i, 0)
+                for j, slot in enumerate(slots, 1):
+                    if j != s:
+                        vals[slot] = dp[slot] + c0
+            den = vols[cone]
+            for slot in cone:
+                if not vals[slot]:
+                    return None
+                den *= vals[slot]
+            num = 1
+            for terms, power in factors:
+                value = 0
+                for c, powers in terms:
+                    for slot, e in powers:
+                        c *= vals[slot] ** e
+                    value += c
+                num *= value ** power
+            total += Fraction(num, den)
+    return total
 
 
 @dataclass(frozen=True)
@@ -486,19 +596,28 @@ def ci_series_coefficient(cayley, P, beta_bar):
     beta_bar = tuple(int(b) for b in beta_bar)
     if not cayley.bar_fan.is_relation(beta_bar):
         raise GeometryError(f"{beta_bar} is not a relation of the base fan")
+    return _pushout_coefficient(cayley, P, beta_bar)
+
+
+def _pushout_coefficient(cayley, P, beta_bar):
+    """ci_series_coefficient for a validated P and a relation beta_bar."""
     pushout = mp_fan(cayley.bar_fan, beta_bar)
-    class_poly = mp_class(pushout, P, parts=cayley.parts)
-    return mp_evaluate(pushout, class_poly)
+    return mp_evaluate(pushout, mp_class(pushout, P, parts=cayley.parts))
 
 
 def ci_series(cayley, P, bound):
-    """Series table over the effective base classes up to the degree bound."""
+    """Series table over the effective base classes up to the degree bound.
+
+    P is validated once for the table; the classes are relations by
+    construction.
+    """
     P = _validated_bar_poly(cayley, P)
-    rows = []
-    for beta_bar in enumerate_effective(cayley.bar_fan, bound):
-        rows.append((beta_bar, ci_series_coefficient(cayley, P, beta_bar)))
+    rows = tuple(
+        (beta_bar, _pushout_coefficient(cayley, P, beta_bar))
+        for beta_bar in enumerate_effective(cayley.bar_fan, bound)
+    )
     return SeriesTable(
-        entries=tuple(rows),
+        entries=rows,
         bound=bound,
         ample=tuple(cayley.bar_fan.lifting),
         v0=None,

@@ -1,11 +1,15 @@
 """Command-line behavior: output shape, exit codes, determinism."""
 
+import hashlib
 import json
 import sys
 
 import pytest
 
 import toricres.fan
+import toricres.lattice
+import toricres.mpcayley
+import toricres.poly
 from toricres import build_context, load_problem
 from toricres.cli import main
 from toricres.mpcayley import cayley_rm_coefficient
@@ -77,11 +81,11 @@ P2_WITHOUT_LIFTING = {
 }
 
 
-def counting_everywhere(monkeypatch, name):
-    """Replace a package function in every module that binds it; returns
-    the list its calls are appended to."""
+def counting_everywhere(monkeypatch, name, home=toricres.fan):
+    """Replace a package function of module ``home`` in every module that
+    binds it; returns the list its calls are appended to."""
     calls = []
-    original = getattr(toricres.fan, name)
+    original = getattr(home, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
@@ -233,6 +237,74 @@ def test_series_certifies_the_base_lifting_once(capsys, monkeypatch, name):
     code, out, err = run(capsys, "series", str(problem_path(name)))
     assert code == 0 and err == ""
     assert len(checks) == 2
+
+
+@pytest.mark.parametrize("name", ["p2", "square_r2"])
+def test_series_pushout_sum_neither_solves_nor_expands(capsys, monkeypatch,
+                                                       name):
+    # every pushout cone reads its coordinates from the cached adjugate of
+    # its base cone: mp_evaluate makes no solve and no poly_eval call, and
+    # the request's solve count does not grow with the number of classes
+    evals = counting_everywhere(monkeypatch, "poly_eval", toricres.poly)
+    solves = counting_everywhere(monkeypatch, "solve_rational",
+                                 toricres.lattice)
+    inside = []
+    original = toricres.mpcayley.mp_evaluate
+
+    def recording(*args):
+        before = len(evals), len(solves)
+        value = original(*args)
+        inside.append((len(evals) - before[0], len(solves) - before[1]))
+        return value
+
+    monkeypatch.setattr(toricres.mpcayley, "mp_evaluate", recording)
+    requests = []
+    for bound in ("3", "6"):
+        start = len(solves), len(inside)
+        code, out, err = run(capsys, "series", str(problem_path(name)),
+                             "--bound", bound)
+        assert code == 0 and err == ""
+        requests.append((len(solves) - start[0], len(inside) - start[1]))
+    assert set(inside) == {(0, 0)}
+    (solves_3, sums_3), (solves_6, sums_6) = requests
+    assert sums_6 > sums_3 > 0
+    assert solves_6 <= solves_3
+
+
+OCTIC = {
+    "name": "octic", "dimension": 4,
+    "vertices": [[-1, -2, -2, -2], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                 [0, 0, 0, 1]],
+    "simplices": [[2, 6, 5, 4, 3], [2, 0, 5, 4, 3], [2, 0, 1, 4, 3],
+                  [2, 1, 6, 4, 3], [2, 0, 1, 5, 3], [2, 1, 6, 5, 3],
+                  [2, 0, 1, 5, 4], [2, 1, 6, 5, 4]],
+    "nef_partition": [[0, 1, 3, 4, 5, 6]], "bound": 8,
+    "polynomial": [[1, [0, 0, 0, 1, 1, 1, 1]]],
+}
+
+
+@pytest.mark.parametrize("problem, flags, digest", [
+    ("p1", (), "5ff0faadaf5dfb7676856b49098b643e42d5c26802be7412d3e670fa590ff183"),
+    ("p2", (), "2dad3c349c7b10a900e0c9d510ab0763cb94af4252f5959c65a2bcd5c0e153b7"),
+    ("square_r2", (),
+     "301444c3633301346018c96bd7eb71474420eda70d31bfea33c691a48fc70a93"),
+    ("nonreflexive", (),
+     "1b89d98bb3707bf9c5d8cdc3c70b51a088c98b3a28820733b4fd894e14d15243"),
+    (P4_TWO_PARTS, (),
+     "8f3abe754db0ccdae26a77536679252fd61e5dc5ee39e2f1686b86f53fd2c228"),
+    (OCTIC, ("--bound", "4"),
+     "7382d46b327dde2d7c30a178e17ce575933fcb4d9e15d0bb698e4e6227ae1323"),
+], ids=["p1", "p2", "square_r2", "nonreflexive", "p4_23-bound15",
+        "octic-bound4"])
+def test_series_report_bytes_are_pinned(capsys, tmp_path, problem, flags,
+                                        digest):
+    # digests of the reports the solve-per-cone Brion sum printed; a faster
+    # route must print the same bytes
+    path = (str(problem_path(problem)) if isinstance(problem, str)
+            else write_problem(tmp_path, problem))
+    code, out, err = run(capsys, "series", path, "--format", "report", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_series_rejects_malformed_v0_flag(capsys):

@@ -1,7 +1,7 @@
 """Triangulations, polytope fans, completions, and effective-class enumeration."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricres import (
@@ -19,6 +19,7 @@ from toricres import (
     verify_coherence,
     wall_relations,
 )
+from toricres.lattice import solve_integral
 from toricres.problem import parse_problem
 
 from fm_reference import reference_enumerate_effective
@@ -130,6 +131,19 @@ def test_is_relation_and_relation_coords(square):
         )
         assert rebuilt == rel
     assert not fan.is_relation((1,) + (0,) * 5)
+    with pytest.raises(GeometryError, match="not a relation"):
+        fan.relation_coords((1,) + (0,) * 5)
+
+
+@given(fans(max_rho=3), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_relation_coords_match_a_solve(fan, bound):
+    # substitution on the Hermite basis against one exact solve per class
+    basis = fan.relation_basis
+    assume(basis)
+    mat = [[row[j] for row in basis] for j in range(len(fan.generators))]
+    for beta in enumerate_effective(fan, bound) + fan.wall_relations:
+        assert list(fan.relation_coords(beta)) == solve_integral(mat, list(beta))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from toricres import (
     relations_among,
 )
 from toricres.lattice import (
+    adjugate,
     cone_facet_normals,
     det_int,
     dot,
@@ -239,8 +240,15 @@ def test_rank_and_solve_match_gauss_jordan(system):
 @example([[0, 1, 0], [1, 0, 0], [0, 0, 5]])
 @settings(max_examples=200)
 def test_det_and_inverse_match_gauss_jordan(mat):
-    assert det_int(mat) == reference_det(mat)
+    det = reference_det(mat)
+    assert det_int(mat) == det
     assert outcome(invert_rational, mat) == outcome(reference_inverse, mat)
+    if det:
+        scaled = [[det * x for x in row] for row in reference_inverse(mat)]
+        assert adjugate(mat) == (det, scaled)
+    else:
+        with pytest.raises(GeometryError, match="singular"):
+            adjugate(mat)
 
 
 def test_relations_among_projective_plane_vectors():

@@ -9,13 +9,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import toricres.jk
 from toricres import (
     CayleyData,
     GeometryError,
     LatticePolytope,
+    ResidueContext,
     Triangulation,
     build_context,
     beta_lift,
@@ -38,7 +40,13 @@ from toricres import (
 )
 
 from brion_reference import reference_mp_class
-from strategies import build_cayley, cayley_data
+from strategies import (
+    build_cayley,
+    cayley_data,
+    segment_fans,
+    star_fans,
+    strip_fans,
+)
 
 ONE = Fraction(1)
 
@@ -210,14 +218,78 @@ def degree_polynomials(cay):
 @given(st.data())
 @settings(max_examples=20, deadline=None)
 def test_factored_class_matches_its_expansion(data):
+    # the structured sum of mp_evaluate on the factors, the solve-per-cone
+    # sum of evaluate_top_class on the factors and on their expansion
     cay = data.draw(cayley_data())
     P = data.draw(degree_polynomials(cay))
     bound = data.draw(st.integers(0, 3))
     for beta in enumerate_effective(cay.bar_fan, bound):
         push = mp_fan(cay.bar_fan, beta)
         expanded = reference_mp_class(push, P, parts=cay.parts)
-        factored = mp_evaluate(push, mp_class(push, P, parts=cay.parts))
-        assert factored == evaluate_top_class(push.fan, [(expanded, 1)])
+        factors = mp_class(push, P, parts=cay.parts)
+        structured = mp_evaluate(push, factors)
+        assert structured == evaluate_top_class(push.fan, factors)
+        assert structured == evaluate_top_class(push.fan, [(expanded, 1)])
+
+
+# ---------------------------------------------------------------------------
+# the structured Brion sum against evaluate_top_class
+# ---------------------------------------------------------------------------
+
+def interior_polynomials(ctx):
+    """Random polynomials in the interior monomials of degree rank."""
+    monomials = [e for e in itertools.product(range(ctx.rank + 1), repeat=ctx.n)
+                 if sum(e) == ctx.rank and ctx.is_interior_point(ctx.push(e))]
+    assume(monomials)
+    terms = st.tuples(st.integers(-3, 3).filter(bool), st.sampled_from(monomials))
+    return st.lists(terms, min_size=1, max_size=3).map(poly_from_terms)
+
+
+def reference_pushout_value(ctx, P, beta):
+    """The crosscheck's pushout value, by evaluate_top_class."""
+    push = mp_fan(ctx.completed, (0,) + tuple(beta))
+    shifted = {(0,) + exps: coeff for exps, coeff in P.items()}
+    return evaluate_top_class(push.fan, mp_class(push, shifted))
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_structured_sum_matches_reference_on_completed_plain_fans(data):
+    # classes of plain fans have negative entries, which put a monomial into
+    # Phi; the sum of the generators is interior to the support cone, so
+    # its negative completes every drawn fan
+    fan = data.draw(st.one_of(segment_fans(), strip_fans(), star_fans()))
+    v0 = tuple(-sum(column) for column in zip(*fan.generators))
+    ctx = ResidueContext(fan, v0)
+    P = data.draw(interior_polynomials(ctx))
+    bound = data.draw(st.integers(0, 3))
+    for beta in enumerate_effective(fan, bound):
+        result = crosscheck_coefficient(ctx, P, beta)
+        assert result.pushout_value == reference_pushout_value(ctx, P, beta)
+        assert result.ok
+
+
+def test_structured_sum_retries_after_a_pole(p2, monkeypatch):
+    # the first point is zero on the fresh ray (2, 1), so the pushout cones
+    # over base cones without generator 2 that drop its copy 0 have a zero
+    # coordinate there; the sum must move on and find the same value
+    cay = p2.cayley
+    push = mp_fan(cay.bar_fan, (1, 1, 1))
+    factors = mp_class(push, monomial((1, 1, 0)), parts=cay.parts)
+    expected = mp_evaluate(push, factors)
+    original = toricres.jk.generic_point
+    attempts = []
+
+    def first_point_on_a_pole(attempt, rank):
+        attempts.append(attempt)
+        point = original(attempt, rank)
+        if attempt == 0:
+            point[-1] = 0
+        return point
+
+    monkeypatch.setattr(toricres.jk, "generic_point", first_point_on_a_pole)
+    assert mp_evaluate(push, factors) == expected == -27
+    assert attempts == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +301,9 @@ def test_crosscheck_agrees_on_segment(p1):
     for beta in ((0, 0, 0), (1, 1, -2), (2, 2, -4)):
         res = crosscheck_coefficient(p1.residue, P, beta)
         assert res.ok, (res.series_value, res.pushout_value)
+        # a negative entry puts a monomial into Phi, and over the base cones
+        # without generator 1 or 2 some pushout cones drop copy 0
+        assert res.pushout_value == reference_pushout_value(p1.residue, P, beta)
     assert crosscheck_coefficient(p1.residue, P, (1, 1, -2)).series_value == 4
 
 
