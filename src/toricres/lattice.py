@@ -309,16 +309,6 @@ def invert_rational(matrix):
     return [list(row) for row in zip(*columns)]
 
 
-def solve_integral(matrix, rhs):
-    """Like solve_rational but insists on an integer solution vector."""
-    sol = solve_rational(matrix, rhs)
-    if sol is None:
-        return None
-    if any(x.denominator != 1 for x in sol):
-        raise GeometryError("solution exists but is not integral")
-    return [int(x) for x in sol]
-
-
 # ---------------------------------------------------------------------------
 # exact linear feasibility (Fourier-Motzkin)
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 These are the straightforward rational routines the package used before its
 fraction-free elimination kernel; the differential tests in test_lattice.py
-require the kernel to give exactly their results and errors.
+require the kernel to give exactly their results and errors, and
+test_fan.py checks ``Fan.relation_coords`` against one integral solve.
 """
 
 from fractions import Fraction
@@ -65,6 +66,16 @@ def reference_solve(matrix, rhs):
     for row_idx, c in enumerate(pivots):
         x[c] = m[row_idx][ncols]
     return x
+
+
+def reference_solve_integral(matrix, rhs):
+    """reference_solve, insisting on an integer solution vector."""
+    sol = reference_solve(matrix, rhs)
+    if sol is None:
+        return None
+    if any(x.denominator != 1 for x in sol):
+        raise GeometryError("solution exists but is not integral")
+    return [int(x) for x in sol]
 
 
 def reference_inverse(matrix):
