@@ -20,15 +20,11 @@ from .lattice import (
 )
 from .poly import (
     monomial,
-    poly_add,
     poly_eval,
-    poly_from_terms,
     poly_mul,
     poly_pow,
-    poly_scale,
 )
 from .fan import (
-    CompletedFan,
     Fan,
     MoriData,
     Triangulation,

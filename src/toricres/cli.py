@@ -42,7 +42,7 @@ from .mixedvol import mixed_volume_table, verify_mixed_volume_theorem
 from .problem import ProblemContext, ProblemError, load_problem
 
 
-def _parser():
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="toricres",
         description="exact residue and series computations on triangulated "
@@ -69,8 +69,12 @@ def _parser():
     return parser
 
 
+#: Built once at import; ``parse_args`` leaves it unchanged between calls.
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         handler = {
             "validate": run_validate,

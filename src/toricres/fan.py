@@ -6,7 +6,10 @@ subdividing the cone over the polytope.  This module builds those fans,
 certifies coherence of the triangulation by an exact strict-feasibility
 lifting, completes the fan with an extra ray, extracts wall relations (the
 Mori generators), and enumerates the effective relation classes up to a
-degree bound.  Enumeration tests membership in the Mori cone against its
+degree bound.  Every fan is a ``Fan``: the fan over a polytope, its
+completion, the base fan of a nef partition and the pushout fans all keep
+their per-cone data (volumes, walls, adjugates) in the same cached
+properties.  Enumeration tests membership in the Mori cone against its
 facet normals, computed once per call, and each fan keeps the class lists
 it has enumerated, so a problem context enumerates each (bound, ample) once.
 """
@@ -286,8 +289,26 @@ class Fan:
 
     @cached_property
     def cone_adjugates(self):
-        """Per maximal cone: (det, integer adjugate, adj @ v_i off the cone)."""
-        return _cone_adjugates(self)
+        """Integer inverse data of every maximal cone, in ``max_cones`` order.
+
+        For a cone sigma with generator matrix M (columns v_i, i in sigma, in
+        index order) the entry is (D, adj, outside): D = det M with its sign,
+        adj the integer adjugate (adj @ M = D * identity), and ``outside``
+        maps every generator index i not in sigma to adj @ v_i.  The pushout
+        Brion sum reads the coordinates and the volume of every pushout cone
+        from these.
+        """
+        out = []
+        for cone in self.max_cones:
+            mat = [[self.generators[i][k] for i in cone]
+                   for k in range(self.rank)]
+            det, adj = adjugate(mat)
+            outside = {
+                i: tuple(dot(row, v) for row in adj)
+                for i, v in enumerate(self.generators) if i not in cone
+            }
+            out.append((det, tuple(map(tuple, adj)), outside))
+        return tuple(out)
 
     @cached_property
     def relation_basis(self):
@@ -394,36 +415,14 @@ class Fan:
         return tuple(sorted(rels))
 
 
-def _cone_adjugates(fan):
-    """Integer inverse data of every maximal cone, in ``max_cones`` order.
-
-    For a cone sigma with generator matrix M (columns v_i, i in sigma, in
-    index order) the entry is (D, adj, outside): D = det M with its sign,
-    adj the integer adjugate (adj @ M = D * identity), and ``outside``
-    maps every generator index i not in sigma to adj @ v_i.  The pushout
-    Brion sum reads the coordinates of every pushout cone from these.
-    """
-    out = []
-    for cone in fan.max_cones:
-        mat = [[fan.generators[i][k] for i in cone] for k in range(fan.rank)]
-        det, adj = adjugate(mat)
-        outside = {
-            i: tuple(dot(row, v) for row in adj)
-            for i, v in enumerate(fan.generators) if i not in cone
-        }
-        out.append((det, tuple(map(tuple, adj)), outside))
-    return tuple(out)
-
-
-def build_fan(tri, polytope=None, validate=True):
+def build_fan(tri, polytope=None):
     """Fan over the cone of a triangulated polytope, generators at height one.
 
-    The triangulation is validated first (structure, proper intersections,
-    covering); the offending pair is named in the error when it is not.
+    The triangulation is taken as valid: callers run
+    :func:`validate_triangulation` first.  Only the cones are checked here,
+    each for degeneracy.
     """
-    poly = validate_triangulation(tri, polytope) if validate else (
-        polytope if polytope is not None else LatticePolytope(tri.points)
-    )
+    poly = polytope if polytope is not None else LatticePolytope(tri.points)
     generators = [p + (1,) for p in tri.points]
     support = [w + (-c,) for w, c in poly.facets]
     height = (0,) * poly.dim + (1,)
@@ -438,53 +437,16 @@ def build_fan(tri, polytope=None, validate=True):
     return fan
 
 
-class CompletedFan:
-    """A fan made complete by one extra ray; the new ray gets index 0."""
-
-    def __init__(self, base, v0):
-        self.base = base
-        self.v0 = tuple(v0)
-        self.generators = (self.v0,) + base.generators
-        shifted = [tuple(i + 1 for i in cone) for cone in base.max_cones]
-        extra = [(0,) + tuple(i + 1 for i in wall) for wall, _ in base.boundary_walls]
-        self.max_cones = tuple(sorted(shifted + extra))
-        self.rank = base.rank
-
-    @cached_property
-    def volumes(self):
-        vols = {}
-        for cone in self.max_cones:
-            v = cone_volume([self.generators[i] for i in cone])
-            if v == 0:
-                raise InvariantError(f"completed cone {cone} is degenerate")
-            vols[cone] = v
-        return vols
-
-    @cached_property
-    def relation_basis(self):
-        return tuple(relations_among(self.generators))
-
-    @cached_property
-    def cone_adjugates(self):
-        """Per maximal cone: (det, integer adjugate, adj @ v_i off the cone)."""
-        return _cone_adjugates(self)
-
-    def check_complete(self):
-        census = _wall_census(self.max_cones)
-        for wall, owners in census.items():
-            if len(owners) != 2:
-                raise InvariantError(
-                    f"completion failed: wall {wall} lies in {len(owners)} cones"
-                )
-        return True
-
-
 def complete(fan, v0=None):
     """Complete a fan over a cone by adding one ray through -interior.
 
     The default ray is the negative of the height vector.  The chosen ray is
     primitivized; its negative must be interior to the support cone.  The
-    result is checked to be a genuine complete simplicial fan.
+    result is a complete :class:`Fan` whose generator 0 is the new ray and
+    whose generator i + 1 is the base generator i.  Its maximal cones are the
+    shifted base cones plus the new ray joined to every boundary wall; its
+    volumes (simpliciality) and its wall census (every wall in exactly two
+    cones) are checked here.
     """
     if fan.is_complete:
         raise GeometryError("fan is already complete")
@@ -498,9 +460,11 @@ def complete(fan, v0=None):
         raise GeometryError(
             f"-v0 = {neg} is not interior to the support cone; cannot complete"
         )
-    completed = CompletedFan(fan, v0)
-    completed.volumes
-    completed.check_complete()
+    shifted = [tuple(i + 1 for i in cone) for cone in fan.max_cones]
+    joined = [(0,) + tuple(i + 1 for i in wall) for wall, _ in fan.boundary_walls]
+    completed = Fan((v0,) + fan.generators, shifted + joined)
+    completed.volumes         # raises on a degenerate cone
+    completed.interior_walls  # raises on a wall not in exactly two cones
     return completed
 
 

@@ -1,5 +1,7 @@
 """Jeffrey-Kirwan residues on complete simplicial fans, plus Brion evaluation.
 
+A ``JKEngine`` is built from one complete ``Fan`` (a completion, or the base
+fan of a nef partition) and reads the cone volumes that fan has cached.
 The residue acts on Laurent monomials in one coordinate per fan generator,
 viewed as rational functions on the relation space of the generators.  A
 basic fraction 1/prod_{i in I} x_i whose denominator forms are a basis
@@ -30,7 +32,6 @@ from fractions import Fraction
 from .lattice import (
     GeometryError,
     InvariantError,
-    cone_volume,
     matrix_rank,
     relations_among,
     solve_rational,
@@ -69,22 +70,23 @@ class SeededTieBreak:
 
 
 class JKEngine:
-    """Residue calculator bound to one complete simplicial fan."""
+    """Residue calculator bound to one complete simplicial fan.
 
-    def __init__(self, generators, max_cones, volumes=None):
-        self.generators = tuple(tuple(g) for g in generators)
-        self.max_cones = tuple(tuple(sorted(c)) for c in max_cones)
+    ``fan`` is a complete :class:`~toricres.fan.Fan`; the cone volumes are
+    its cached ``volumes``, which raise on a degenerate cone.
+    """
+
+    def __init__(self, fan):
+        if not fan.is_complete:
+            raise GeometryError("the residue engine needs a complete fan")
+        self.generators = fan.generators
+        self.max_cones = fan.max_cones
         self.n = len(self.generators)
         self.kernel, self.forms = restricted_forms(self.generators)
         self.dim = len(self.kernel)
-        self._cone_lookup = {}
-        for cone in self.max_cones:
-            vol = (volumes or {}).get(cone) or cone_volume(
-                [self.generators[i] for i in cone]
-            )
-            if vol == 0:
-                raise GeometryError(f"maximal cone {cone} is degenerate")
-            self._cone_lookup[frozenset(cone)] = vol
+        self._cone_lookup = {
+            frozenset(cone): vol for cone, vol in fan.volumes.items()
+        }
 
     # -- basic fractions ----------------------------------------------------
 

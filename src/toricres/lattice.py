@@ -486,9 +486,6 @@ class LatticePolytope:
     def contains(self, point):
         return all(dot(w, point) >= c for w, c in self.facets)
 
-    def interior_contains(self, point):
-        return all(dot(w, point) > c for w, c in self.facets)
-
     def is_reflexive(self):
         """True when every facet inequality is dot(w, x) >= -1 with primitive w."""
         return all(c == -1 for _, c in self.facets)

@@ -41,11 +41,7 @@ class ResidueContext:
     def __init__(self, fan, v0=None, ample=None):
         self.fan = fan
         self.completed = complete(fan, v0)
-        self.engine = JKEngine(
-            self.completed.generators,
-            self.completed.max_cones,
-            self.completed.volumes,
-        )
+        self.engine = JKEngine(self.completed)
         self.ample = tuple(ample) if ample is not None else fan.lifting
         if self.ample is None:
             raise GeometryError(
@@ -63,7 +59,8 @@ class ResidueContext:
 
     @property
     def v0(self):
-        return self.completed.v0
+        """The completion ray: generator 0 of the completed fan."""
+        return self.completed.generators[0]
 
     def push(self, exps):
         """Image of a Z^n exponent vector under e_i -> v_i."""

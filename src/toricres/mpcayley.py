@@ -5,8 +5,10 @@ fan and an effective class realizes each series coefficient as a single
 intersection number: every generator v_i is replicated beta_i^+ + 1 times in a
 larger lattice chosen so that the relations of the base embed diagonally.
 Its Brion sum (``mp_evaluate``) reads each pushout cone's coordinates from
-the cached adjugate of the base cone below it, with no solve per cone;
-``jk.evaluate_top_class``, which solves every cone, is its reference.
+the cached adjugate of the base cone below it, with no solve per cone, and
+its volume from that base cone's determinant, with no determinant per cone
+(the block-triangular argument of ``mp_fan``); ``jk.evaluate_top_class``,
+which solves every cone, is its reference.
 The Cayley construction turns a reflexive polytope with a coherent star
 triangulation and a nef partition into the height-one data the residue
 machinery consumes: the Cayley cone, its induced triangulation and lifting,
@@ -48,6 +50,8 @@ class PushoutFan:
     ``cones_over`` holds, per maximal cone of ``base`` (in its order), the
     pushout cones above it as (skips, cone) pairs: ``skips`` names the copy
     dropped over each base generator outside the base cone, in index order.
+    Every cone above a base cone sigma has the volume |det| of sigma (see
+    :func:`mp_fan`), which ``base.cone_adjugates`` holds.
     """
 
     fan: Fan
@@ -55,8 +59,7 @@ class PushoutFan:
     slot_index: dict      # (i, j) -> position
     beta: tuple
     base_count: int
-    extra: int
-    base: object          # the base fan
+    base: Fan
     cones_over: tuple     # per base cone: ((skips, cone), ...)
 
     def embed(self, exps):
@@ -71,11 +74,23 @@ class PushoutFan:
 def mp_fan(base, beta):
     """Pushout fan of a complete simplicial fan along an effective class.
 
-    ``base`` needs generators and maximal cones; ``beta`` must be a relation
-    among the generators.  Maximal cones follow the complement rule: keep all
-    copies over a cone, and drop exactly one copy over each ray outside it.
-    Completeness and simpliciality of the result are verified, as is the
-    cone-count formula sum_sigma prod_(i not in sigma) (beta_i^+ + 1).
+    ``base`` is a complete simplicial :class:`Fan`; ``beta`` must be a
+    relation among its generators.  Maximal cones follow the complement
+    rule: keep all copies over a cone, and drop exactly one copy over each
+    ray outside it.  The cone-count formula
+    sum_sigma prod_(i not in sigma) (beta_i^+ + 1) and completeness (every
+    wall in exactly two cones) are verified.
+
+    No pushout cone needs a determinant of its own.  In the generator matrix
+    of a cone above sigma, every kept fresh copy (i, j), j >= 1, is a unit
+    column e_ij, and every skipped fresh copy s_i >= 1 leaves the row e_is
+    with one entry, the -1 of copy (i, 0).  Expanding along those columns
+    and then along each skipped fresh-ray row removes every fresh row, the
+    fresh columns and the copy-0 columns outside sigma, each with a factor
+    of +-1; what is left is the base block, the matrix of sigma.  So the
+    cone's volume is |D| for the signed determinant D of sigma, and it is
+    simplicial exactly when sigma is, which the base fan's cached
+    ``volumes`` check.
     """
     gens = tuple(tuple(g) for g in base.generators)
     count = len(gens)
@@ -86,6 +101,7 @@ def mp_fan(base, beta):
     for k in range(rank):
         if sum(beta[i] * gens[i][k] for i in range(count)) != 0:
             raise GeometryError(f"{beta} is not a relation among the generators")
+    base.volumes  # simpliciality: raises on a degenerate base cone
     plus = [max(b, 0) for b in beta]
     extra = sum(plus)
 
@@ -135,7 +151,6 @@ def mp_fan(base, beta):
             f"pushout produced {len(cones)} cones, expected {expected} distinct"
         )
     fan = Fan(vectors, cones)
-    fan.volumes          # simpliciality: every cone nondegenerate
     fan.interior_walls   # completeness: every wall shared by exactly two cones
     return PushoutFan(
         fan=fan,
@@ -143,7 +158,6 @@ def mp_fan(base, beta):
         slot_index=slot_index,
         beta=beta,
         base_count=count,
-        extra=extra,
         base=base,
         cones_over=tuple(cones_over),
     )
@@ -238,7 +252,8 @@ def _structured_sum(pushout, factors, point):
     Every C is an integer.  D cancels from each term
     prod f(c)^k / (vol prod c), because the factors are homogeneous with
     degrees (times powers) adding up to the rank, which is also the number
-    of coordinates; so the term is prod f(C)^k / (vol prod C).
+    of coordinates; so the term is prod f(C)^k / (vol prod C), where vol is
+    |D| (:func:`mp_fan`).
     """
     base = pushout.base
     width = len(pushout.slots)
@@ -252,13 +267,13 @@ def _structured_sum(pushout, factors, point):
             p[slot] = point[k]
             k += 1
     p_base = point[:base.rank]
-    vols = pushout.fan.volumes
     total = Fraction(0)
     for sigma, (det, adj, adj_outside), above in zip(
             base.max_cones, base.cone_adjugates, pushout.cones_over):
         outside = sorted(adj_outside)
         start = [sum(a * b for a, b in zip(row, p_base)) for row in adj]
         dp = [det * x for x in p]
+        vol = abs(det)
         for skips, cone in above:
             vals = [0] * width
             coords = start
@@ -276,7 +291,7 @@ def _structured_sum(pushout, factors, point):
                 for j, slot in enumerate(slots, 1):
                     if j != s:
                         vals[slot] = dp[slot] + c0
-            den = vols[cone]
+            den = vol
             for slot in cone:
                 if not vals[slot]:
                     return None
@@ -342,15 +357,13 @@ class CayleyData:
     certifies its coherence; the constructor trusts both and checks only
     the induced Cayley triangulation.  Attributes:
 
-    polytope, points, origin_index, triangulation, lifting_bar : base data
-    parts_points : partition by point index (input form)
-    bar_points, point_of_bar, bar_of_point : non-origin points, lex order
-    parts, part_of_bar : partition by bar index
+    points, origin_index, triangulation : base data
+    bar_points : non-origin points, lex order
+    parts : partition by bar index
     bar_fan : complete fan over the boundary points
     fan : the Cayley fan (with support cone, height vector and lifting)
     apex_offset, r, dim_bar : layout numbers (apexes sit at the end)
     gen_part : part index of every Cayley generator
-    tilde_triangulation : the induced triangulation of the Cayley polytope
     """
 
     def __init__(self, polytope, tri, parts_points):
@@ -449,7 +462,6 @@ class CayleyData:
                     "the induced Cayley triangulation admits no coherent lifting"
                 )
             lifting_tilde = found
-            tilde = Triangulation(gens, cones, lifting=lifting_tilde)
 
         fan = Fan(
             gens,
@@ -461,24 +473,17 @@ class CayleyData:
         fan.volumes
         fan.interior_walls  # pseudomanifold check against the support boundary
 
-        self.polytope = polytope
         self.points = points
         self.origin_index = origin_index
         self.triangulation = tri
-        self.lifting_bar = lifting_bar
-        self.parts_points = parts_points
         self.bar_points = bar_points
-        self.point_of_bar = point_of_bar
-        self.bar_of_point = bar_of_point
         self.parts = parts
-        self.part_of_bar = part_of_bar
         self.bar_fan = bar_fan
         self.fan = fan
         self.apex_offset = apex_offset
         self.r = r
         self.dim_bar = dim_bar
         self.gen_part = part_of_bar + tuple(range(r))
-        self.tilde_triangulation = tilde
 
 
 def _check_nef_partition(bar_fan, parts, polytope, points, parts_points,
@@ -673,9 +678,7 @@ def substitution_value_pair(cayley, ctx, bar_exps, part_exps):
             key[b] = 1
             linear[tuple(key)] = Fraction(-1)
         substituted = poly_mul(substituted, poly_pow(linear, k))
-    engine = JKEngine(cayley.bar_fan.generators, cayley.bar_fan.max_cones,
-                      cayley.bar_fan.volumes)
-    base = engine.residue_of_terms(
+    base = JKEngine(cayley.bar_fan).residue_of_terms(
         (coeff, exps) for exps, coeff in sorted(substituted.items())
     )
     return upstairs, base

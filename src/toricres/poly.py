@@ -9,41 +9,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def poly_from_terms(terms):
-    """Build a polynomial from (coefficient, exponents) pairs, dropping zeros."""
-    out = {}
-    for coeff, exps in terms:
-        coeff = Fraction(coeff)
-        key = tuple(int(e) for e in exps)
-        val = out.get(key, Fraction(0)) + coeff
-        if val:
-            out[key] = val
-        else:
-            out.pop(key, None)
-    return out
-
-
 def monomial(exps, coeff=1):
     coeff = Fraction(coeff)
     return {tuple(int(e) for e in exps): coeff} if coeff else {}
-
-
-def poly_add(p, q):
-    out = dict(p)
-    for key, c in q.items():
-        val = out.get(key, Fraction(0)) + c
-        if val:
-            out[key] = val
-        else:
-            out.pop(key, None)
-    return out
-
-
-def poly_scale(c, p):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {key: c * v for key, v in p.items()}
 
 
 def poly_mul(p, q):

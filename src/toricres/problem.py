@@ -304,8 +304,7 @@ class ProblemContext:
 
     def _completion(self):
         if self.cayley is None:
-            self.fan = build_fan(self.triangulation, self.polytope,
-                                 validate=False)
+            self.fan = build_fan(self.triangulation, self.polytope)
         else:
             self.fan = self.cayley.fan
         self.residue = ResidueContext(self.fan, self._v0)

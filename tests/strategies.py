@@ -51,10 +51,10 @@ BUNDLED = ("p1", "p2", "square_r2", "nonreflexive")
 def coherent_fan(points, simplices):
     """The fan of a triangulation, with a lifting found for it; a drawn
     triangulation without one is rejected."""
-    tri = Triangulation(points, simplices)
-    lifting = find_lifting(tri)
+    lifting = find_lifting(Triangulation(points, simplices))
     assume(lifting is not None)
-    return build_fan(Triangulation(points, simplices, lifting=lifting))
+    tri = Triangulation(points, simplices, lifting=lifting)
+    return build_fan(tri, validate_triangulation(tri))
 
 
 @st.composite

@@ -412,6 +412,22 @@ def test_unreadable_file_is_a_usage_error(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_usage_errors_and_help_on_the_shared_parser(capsys):
+    # the parser is built once per process; a usage error or --help must
+    # leave it fit for the next request
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["series"])
+        assert exc.value.code == 2
+        assert "required: problem" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--help"])
+        assert exc.value.code == 0
+        assert "--bound" in capsys.readouterr().out
+        code, out, err = run(capsys, "validate", str(problem_path("p1")))
+        assert code == 0 and err == ""
+
+
 def test_broken_json_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{oops")

@@ -30,7 +30,7 @@ SEGMENT = ((-1,), (0,), (1,))
 
 def segment_fan():
     tri = Triangulation(SEGMENT, ((0, 1), (1, 2)), lifting=(1, 0, 1))
-    return build_fan(tri)
+    return build_fan(tri, validate_triangulation(tri))
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +151,42 @@ def test_relation_coords_match_a_solve(fan, bound):
 # completion
 # ---------------------------------------------------------------------------
 
+# The completion of the segment fan: the base cones shifted by one, plus the
+# new ray 0 joined to the two boundary rays 1 and 3; four walls (the rays),
+# each in two cones.
+SEGMENT_COMPLETION = ((0, 1), (0, 3), (1, 2), (2, 3))
+
+
 def test_complete_defaults_to_minus_height():
     comp = complete(segment_fan())
-    assert comp.v0 == (0, -1)
+    assert isinstance(comp, Fan)
     assert comp.generators[0] == (0, -1)
     assert comp.generators[1:] == segment_fan().generators
-    assert set(comp.max_cones) == {(0, 1), (0, 3), (1, 2), (2, 3)}
-    comp.check_complete()
+    assert comp.max_cones == SEGMENT_COMPLETION
+    assert comp.is_complete
+    assert len(comp.interior_walls) == 4
 
 
 def test_complete_with_explicit_v0():
     comp = complete(segment_fan(), v0=(1, -2))
-    assert comp.v0 == (1, -2)
-    comp.check_complete()
+    assert comp.generators == ((1, -2),) + segment_fan().generators
+    assert comp.max_cones == SEGMENT_COMPLETION
+    assert comp.is_complete
+    assert len(comp.interior_walls) == 4
 
 
 def test_complete_rejects_non_interior_v0():
     with pytest.raises(GeometryError, match="not interior"):
         complete(segment_fan(), v0=(1, 1))
+
+
+def test_wall_census_rejects_a_complete_fan_with_an_open_wall():
+    # the census that checks a completion: a fan without support facets
+    # whose ray (1, 0) lies in one cone only is not complete
+    open_fan = Fan(((1, 0), (0, 1), (-1, 0)), ((0, 1), (1, 2)))
+    assert open_fan.is_complete
+    with pytest.raises(InvariantError, match="has a single cone"):
+        open_fan.interior_walls
 
 
 def test_complete_rejects_default_when_origin_is_a_vertex(nonreflexive):
@@ -177,7 +195,13 @@ def test_complete_rejects_default_when_origin_is_a_vertex(nonreflexive):
     with pytest.raises(GeometryError, match="pass v0 explicitly"):
         complete(nonreflexive.fan)
     comp = complete(nonreflexive.fan, v0=(-1, -1, -2))
-    comp.check_complete()
+    assert comp.generators[0] == (-1, -1, -2)
+    # base cones (0, 1, 2) and (1, 2, 3) shifted, plus the ray 0 over the
+    # four boundary walls
+    assert comp.max_cones == ((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4),
+                              (1, 2, 3), (2, 3, 4))
+    assert comp.is_complete
+    assert len(comp.interior_walls) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +304,8 @@ def test_enumerate_effective_fails_fast_beyond_the_rank_limit():
     simplices = [(0, 1, 4), (1, 2, 5), (1, 4, 5), (2, 3, 6), (2, 5, 6),
                  (4, 5, 7), (5, 6, 8), (5, 7, 8), (7, 8, 9)]
     lifting = [x * x + x * y + y * y for x, y in points]
-    fan = build_fan(Triangulation(points, simplices, lifting=lifting))
+    tri = Triangulation(points, simplices, lifting=lifting)
+    fan = build_fan(tri, validate_triangulation(tri))
     assert len(fan.relation_basis) == 7
     with pytest.raises(GeometryError, match="rank 7 exceeds"):
         enumerate_effective(fan, 1)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from toricres import (
+    Fan,
     GeometryError,
     JKEngine,
     LexTieBreak,
@@ -22,24 +23,23 @@ from toricres import (
     jk_basic,
     jk_residue,
     monomial,
-    poly_add,
     restricted_forms,
+    validate_triangulation,
 )
+
+from polys import poly_add
 
 
 def hirzebruch_engine():
     """Completed fan over the segment [-1,1]: a smooth surface with two
     sections of self-intersection +2 / -2 and two fibers."""
-    fan = build_fan(
-        Triangulation(((-1,), (0,), (1,)), ((0, 1), (1, 2)), lifting=(1, 0, 1))
-    )
-    comp = complete(fan)
-    return JKEngine(comp.generators, comp.max_cones, comp.volumes)
+    tri = Triangulation(((-1,), (0,), (1,)), ((0, 1), (1, 2)), lifting=(1, 0, 1))
+    return JKEngine(complete(build_fan(tri, validate_triangulation(tri))))
 
 
 def weighted_plane_engine():
     # P(1,1,2): D0 ~ D2 =: G, D1 ~ 2G, <G^2> = 1/2
-    return JKEngine(((1, 0), (0, 1), (-1, -2)), ((0, 1), (0, 2), (1, 2)))
+    return JKEngine(Fan(((1, 0), (0, 1), (-1, -2)), ((0, 1), (0, 2), (1, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +102,14 @@ def test_residue_requires_total_degree_minus_dim():
     eng = hirzebruch_engine()
     with pytest.raises(GeometryError, match="total degree"):
         eng.residue((0, 0, 0, 0))
+
+
+def test_engine_needs_a_complete_fan(p1):
+    # the fan over a polytope has support facets: residues on it would
+    # miss the cones of the completion
+    with pytest.raises(GeometryError, match="needs a complete fan"):
+        JKEngine(p1.fan)
+    assert JKEngine(p1.residue.completed).generators[0] == p1.residue.v0
 
 
 def test_jk_basic_is_inverse_complement_volume():

@@ -286,7 +286,6 @@ def test_lattice_polytope_triangle():
     assert poly.lattice_points == ((0, 0), (0, 1), (1, 0), (2, 0))
     assert poly.contains((1, 0))
     assert not poly.contains((1, 1))
-    assert not poly.interior_contains((1, 0))
 
 
 def test_reflexivity():

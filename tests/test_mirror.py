@@ -78,9 +78,8 @@ def test_segment_hessian_by_hand(p1):
 
 
 def test_hessian_rejects_complete_fans(p1):
-    comp = complete(p1.fan)
     with pytest.raises(GeometryError):
-        hessian(Fan(comp.generators, comp.max_cones))
+        hessian(complete(p1.fan))
 
 
 def test_gamma_weight_vector_realizability(p1):

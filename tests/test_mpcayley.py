@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import toricres.jk
 from toricres import (
     CayleyData,
+    Fan,
     GeometryError,
     LatticePolytope,
     ResidueContext,
@@ -24,6 +25,7 @@ from toricres import (
     cayley_rm_coefficient,
     ci_series,
     ci_series_coefficient,
+    complete,
     crosscheck_coefficient,
     enumerate_effective,
     evaluate_top_class,
@@ -35,11 +37,13 @@ from toricres import (
     mp_evaluate,
     mp_fan,
     part_degrees,
-    poly_from_terms,
     substitution_value_pair,
 )
 
+from toricres.lattice import det_int
+
 from brion_reference import reference_mp_class
+from polys import poly_from_terms
 from strategies import (
     build_cayley,
     cayley_data,
@@ -290,6 +294,46 @@ def test_structured_sum_retries_after_a_pole(p2, monkeypatch):
     monkeypatch.setattr(toricres.jk, "generic_point", first_point_on_a_pole)
     assert mp_evaluate(push, factors) == expected == -27
     assert attempts == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# pushout cone volumes from the base cone
+# ---------------------------------------------------------------------------
+
+def assert_volumes_from_base(push):
+    """Every pushout cone's det_int has the absolute value of the base
+    cone's D below it, and the pushout fan's own volumes agree."""
+    gens = push.fan.generators
+    for (det, _, _), above in zip(push.base.cone_adjugates, push.cones_over):
+        for _, cone in above:
+            mat = [[gens[i][k] for i in cone] for k in range(push.fan.rank)]
+            assert abs(det_int(mat)) == abs(det) == push.fan.volumes[cone]
+
+
+def test_pushout_of_a_degenerate_base_cone_is_refused():
+    # the cone (0, 1) spans a line, so every pushout cone above it is flat
+    base = Fan(((1, 0), (-1, 0), (0, 1), (0, -1)),
+               ((0, 1), (0, 2), (1, 2), (1, 3), (0, 3)))
+    with pytest.raises(GeometryError, match=r"cone \(0, 1\) is degenerate"):
+        mp_fan(base, (1, 1, 0, 0))
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_pushout_volumes_come_from_the_base_cone_on_cayley_data(data):
+    cay = data.draw(cayley_data())
+    for beta in enumerate_effective(cay.bar_fan, data.draw(st.integers(0, 3))):
+        assert_volumes_from_base(mp_fan(cay.bar_fan, beta))
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_pushout_volumes_come_from_the_base_cone_on_completed_plain_fans(data):
+    fan = data.draw(st.one_of(segment_fans(), strip_fans(), star_fans()))
+    v0 = tuple(-sum(column) for column in zip(*fan.generators))
+    completed = complete(fan, v0)
+    for beta in enumerate_effective(fan, data.draw(st.integers(0, 3))):
+        assert_volumes_from_base(mp_fan(completed, (0,) + tuple(beta)))
 
 
 # ---------------------------------------------------------------------------

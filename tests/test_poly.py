@@ -5,15 +5,9 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricres import (
-    monomial,
-    poly_add,
-    poly_eval,
-    poly_from_terms,
-    poly_mul,
-    poly_pow,
-    poly_scale,
-)
+from toricres import monomial, poly_eval, poly_mul, poly_pow
+
+from polys import poly_add, poly_from_terms, poly_scale
 
 coeffs = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
